@@ -47,6 +47,14 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 NEWTON_TOL = 1e-9
 MOMENTUM_TOL = 1e-10
 SETUP_SECONDS_PER_PASS = 0.2
+# The shared host runs this process at two speeds about 1.75x apart,
+# switching within a second, and the share of fast stretches in a run
+# ranges from none to about half with other tenants' load. A mean or a
+# median follows that share; the upper quartile of timings of the same work
+# repeated across a run stays in the slow speed unless fast stretches fill
+# three quarters of the run. Step times, the rest of each case's user path
+# and set-up times are summarised by this quantile.
+TIME_QUANTILE = 0.75
 MB = 1e6
 
 CHAIN_BODIES = 24
@@ -150,16 +158,17 @@ class Bench:
 
     def run_case(self, case, text, simulate):
         """The user path of one case; returns its timings and dimensions."""
+        from phmbd import integrate
         from phmbd.diagnostics import conservation_report
-        from phmbd.integrate import IntegratorConfig
         from phmbd.scenario import write_summary_json, write_trajectory_csv
 
         start = time.perf_counter()
         config, system, state, parse_s, build_s = self.setup(case, text)
-        integ = IntegratorConfig(h=case.h, t_end=case.t_end, scheme=case.scheme,
-                                 newton_tol=NEWTON_TOL)
+        integ = integrate.IntegratorConfig(h=case.h, t_end=case.t_end,
+                                           scheme=case.scheme, newton_tol=NEWTON_TOL)
         t0 = time.perf_counter()
-        traj = simulate(system, state, integ)
+        with StepTimer(integrate) as steps:
+            traj = simulate(system, state, integ)
         t1 = time.perf_counter()
         report = conservation_report(traj, system)
         t2 = time.perf_counter()
@@ -172,7 +181,8 @@ class Bench:
         return {
             "wall": end - start, "parse": parse_s, "build": build_s,
             "simulate": t1 - t0, "report": t2 - t1, "write": end - t2,
-            "steps": traj.rows - 1, "csv_bytes": os.path.getsize(csv_path),
+            "steps": traj.rows - 1, "step_times": steps.times,
+            "csv_bytes": os.path.getsize(csv_path),
             "hessian_bytes": 8.0 * system.m * system.n ** 2,
             "problems": problems,
         }
@@ -270,29 +280,50 @@ def timed(passes):
     return kept
 
 
+def quantile(samples):
+    """The TIME_QUANTILE quantile of `samples`."""
+    ordered = sorted(samples)
+    return ordered[int(TIME_QUANTILE * len(ordered))]
+
+
+def step_table(passes):
+    """Per case, (the time of each step, the time outside the steps), each
+    the `quantile` over the timed passes of the same step of the same
+    simulation. The time outside the steps covers set-up, the rest of
+    `simulate`, the report and the output files."""
+    cases = []
+    for records in zip(*timed(passes)):
+        steps = [quantile(times) for times in zip(*(r["step_times"] for r in records))]
+        rest = quantile(r["wall"] - sum(r["step_times"]) for r in records)
+        cases.append((steps, rest))
+    return cases
+
+
 def steps_per_s(passes):
-    """Completed steps per second of `simulate`, over all timed passes."""
-    records = [r for records in timed(passes) for r in records]
-    return sum(r["steps"] for r in records) / sum(r["simulate"] for r in records)
+    """Steps per second of `simulate`, each step taken at its time in
+    `step_table`."""
+    steps = [t for case_steps, _ in step_table(passes) for t in case_steps]
+    return len(steps) / sum(steps)
 
 
 def end_to_end(bench, seconds):
     from phmbd import integrate
 
     setup = []
-    with StepTimer(integrate) as timer:
-        passes = bench.measure(seconds, integrate.simulate, setup)
-    deciles = statistics.quantiles(timer.times, n=10)
+    passes = bench.measure(seconds, integrate.simulate, setup)
+    table = step_table(passes)
+    steps = [t for case_steps, _ in table for t in case_steps]
+    deciles = statistics.quantiles(steps, n=10)
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
-        "setup_s": statistics.median(setup),
-        "steps_per_s": steps_per_s(passes),
-        "step_ms_p50": 1e3 * statistics.median(timer.times),
+        "setup_s": quantile(setup),
+        "steps_per_s": len(steps) / sum(steps),
+        "step_ms_p50": 1e3 * statistics.median(steps),
         "step_ms_p90": 1e3 * deciles[8],
-        "run_s": statistics.median(sum(r["wall"] for r in records)
-                                   for records in timed(passes)),
+        "run_s": sum(sum(case_steps) + rest for case_steps, rest in table),
         "peak_rss_mb": rss_kb * 1024 / MB,
-    }, len(passes), len(timer.times)
+    }, len(passes), sum(len(r["step_times"]) for records in timed(passes)
+                        for r in records)
 
 
 def per_layer(bench, seconds, phmbd, numpy):
