@@ -9,9 +9,17 @@ differential-algebraic form
     E x_dot = J(x) z(x) + B(q) u,    E^T z = grad H,
 
 with skew-symmetric J, so the Hamiltonian obeys dH/dt = y^T u with the
-collocated output y = B^T z. All constraints are quadratic in q, hence the
-stacked Jacobian is affine in q and the per-row Hessians are constant;
-the latter are probed once at construction and reused by the integrator.
+collocated output y = B^T z.
+
+All constraints are quadratic in q, so the whole constraint layer is three
+constants fixed when the system is built: g0 = g(0), G0 = G(0) and the
+nonzeros of the constant row Hessians H[i, a, b], kept as flat COO
+arrays. Every later evaluation is a fixed sparse contraction:
+
+    G(q) = G0 + H q,    g(q) = g0 + (G0 + G(q)) q / 2,
+    D(v) = H v,         K(lambda) = sum_i lambda_i H_i.
+
+The per-body and per-pair constraint functions run only at construction.
 """
 from __future__ import annotations
 
@@ -116,105 +124,107 @@ class MultibodySystem:
             grad[12 * k:12 * k + 3] = -body.mass * body.gravity
         self._grad_potential = grad
 
-        self._joint_rows = []
-        r = self.m_internal
-        for joint in self.joints:
-            self._joint_rows.append(r)
-            r += joint.count
-
-        self._hessian_stack = self._build_hessian_stack()
-        _, self._jacobian_at_zero = stack_constraints(self, np.zeros(self.n))
+        self._g0, self._G0, (rows, a, b, self._H_values) = _constant_tensors(self)
+        # flat bins of H x (entries (i, a)) and of K(lambda) (entries (a, b))
+        self._H_rows, self._H_b = rows, b
+        self._H_ia = rows * self.n + a
+        self._H_ab = a * self.n + b
 
     def body_config(self, q, index):
         return q[12 * index:12 * index + 12]
 
-    def _joint_configs(self, q, joint):
-        q_a = self.body_config(q, joint.body_a)
-        q_b = GROUND_CONFIG if joint.is_ground else self.body_config(q, joint.body_b)
-        return q_a, q_b
 
-    def _build_hessian_stack(self):
-        """Constant Hessians of every constraint row, shape (m, n, n).
+def _probe_affine(fn, width):
+    """Value at zero and slope of an affine map of a width-vector.
 
-        Internal rows have closed-form Hessians; joint rows are probed from
-        the affine Jacobian by evaluating it on configuration basis vectors
-        with the ground pseudo-body held fixed.
-        """
-        H = np.zeros((self.m, self.n, self.n))
-        eye = np.eye(3)
-        for k in range(len(self.bodies)):
-            r0, c0 = 6 * k, 12 * k + 3
-            for i in range(3):
-                H[r0 + i, c0 + 3 * i:c0 + 3 * i + 3, c0 + 3 * i:c0 + 3 * i + 3] = eye
-            for row, i, j in ((3, 0, 1), (4, 0, 2), (5, 1, 2)):
-                H[r0 + row, c0 + 3 * i:c0 + 3 * i + 3, c0 + 3 * j:c0 + 3 * j + 3] = eye
-                H[r0 + row, c0 + 3 * j:c0 + 3 * j + 3, c0 + 3 * i:c0 + 3 * i + 3] = eye
+    Returns (F0, S) with F0 = fn(0) and S[..., c] = fn(e_c) - fn(0), which
+    is exact up to the rounding of fn for affine fn.
+    """
+    F0 = fn(np.zeros(width))
+    return F0, np.stack([fn(e) - F0 for e in np.eye(width)], axis=-1)
 
-        zero12 = np.zeros(12)
-        for joint, r0 in zip(self.joints, self._joint_rows):
-            rows = slice(r0, r0 + joint.count)
-            ca = 12 * joint.body_a
-            if joint.is_ground:
-                J0 = joints_mod.jacobian(joint, zero12, GROUND_CONFIG)
-                for col in range(12):
-                    e = np.zeros(12)
-                    e[col] = 1.0
-                    dJ = joints_mod.jacobian(joint, e, GROUND_CONFIG) - J0
-                    H[rows, ca:ca + 12, ca + col] = dJ[:, :12]
-            else:
-                cb = 12 * joint.body_b
-                J0 = joints_mod.jacobian(joint, zero12, zero12)
-                for col in range(24):
-                    e = np.zeros(24)
-                    e[col] = 1.0
-                    dJ = joints_mod.jacobian(joint, e[:12], e[12:]) - J0
-                    target = ca + col if col < 12 else cb + col - 12
-                    H[rows, ca:ca + 12, target] = dJ[:, :12]
-                    H[rows, cb:cb + 12, target] = dJ[:, 12:]
-        return H
+
+def _constant_tensors(sys):
+    """g0 = g(0), G0 = G(0) and the nonzeros of the Hessians H[i, a, b].
+
+    All constraints are quadratic in q, so these three constants give g, G
+    and their derivatives everywhere. The orthonormality rows are probed
+    once from the director functions and tiled over the bodies. Each pair
+    gives g0 from its residual and G0 and H from its Jacobian on basis
+    vectors, with the ground pseudo-body held at GROUND_CONFIG. H comes
+    back as COO arrays (rows, a, b, values), sorted by row, then a, then b.
+    """
+    n, m, nb = sys.n, sys.m, len(sys.bodies)
+    g0 = np.empty(m)
+    G0 = np.zeros((m, n))
+
+    body_rows = 6 * np.arange(nb)[:, None] + np.arange(6)
+    body_cols = 12 * np.arange(nb)[:, None] + np.arange(12)
+    g0[:sys.m_internal] = np.tile(internal_constraints(np.zeros(12)), nb)
+    G_int, H_int = _probe_affine(internal_constraint_gradient, 12)
+    G0[body_rows[:, :, None], body_cols[:, None, :]] = G_int
+    r, a, b = np.nonzero(H_int)
+    parts = [(body_rows[:, r].ravel(), body_cols[:, a].ravel(),
+              body_cols[:, b].ravel(), np.tile(H_int[r, a, b], nb))]
+
+    row = sys.m_internal
+    zero12 = np.zeros(12)
+    for joint in sys.joints:
+        cols = body_cols[joint.body_a]
+        if joint.is_ground:
+            g0[row:row + joint.count] = joints_mod.residual(joint, zero12, GROUND_CONFIG)
+            J0, H = _probe_affine(
+                lambda x: joints_mod.jacobian(joint, x, GROUND_CONFIG)[:, :12], 12)
+        else:
+            cols = np.concatenate([cols, body_cols[joint.body_b]])
+            g0[row:row + joint.count] = joints_mod.residual(joint, zero12, zero12)
+            J0, H = _probe_affine(lambda x: joints_mod.jacobian(joint, x[:12], x[12:]), 24)
+        G0[row:row + joint.count, cols] = J0
+        r, a, b = np.nonzero(H)
+        parts.append((row + r, cols[a], cols[b], H[r, a, b]))
+        row += joint.count
+    return g0, G0, tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _hessian_times(sys, x):
+    """H x, shape (m, n): entry (i, a) is sum_b H[i, a, b] x[b]."""
+    return np.bincount(sys._H_ia, sys._H_values * x[sys._H_b],
+                       minlength=sys.m * sys.n).reshape(sys.m, sys.n)
 
 
 def stack_constraints(sys, q):
     """All constraint values and their Jacobian at configuration q.
 
     Returns (g, G) with shapes (m,) and (m, n); internal rows first, then
-    joint rows in declaration order. Ground pairs contribute columns only
-    for their real body.
+    joint rows in declaration order. Every row is quadratic in q, so
+    G(q) = G0 + H q and g(q) = g0 + (G0 + G(q)) q / 2, both exact, from the
+    constants g0 = g(0), G0 = G(0) and the sparse Hessian H fixed at
+    construction. Ground pairs contribute columns only for their real body.
     """
     q = np.asarray(q, dtype=float)
-    g = np.empty(sys.m)
-    G = np.zeros((sys.m, sys.n))
-    for k in range(len(sys.bodies)):
-        qk = q[12 * k:12 * k + 12]
-        g[6 * k:6 * k + 6] = internal_constraints(qk)
-        G[6 * k:6 * k + 6, 12 * k:12 * k + 12] = internal_constraint_gradient(qk)
-    for joint, r0 in zip(sys.joints, sys._joint_rows):
-        q_a, q_b = sys._joint_configs(q, joint)
-        rows = slice(r0, r0 + joint.count)
-        g[rows] = joints_mod.residual(joint, q_a, q_b)
-        J = joints_mod.jacobian(joint, q_a, q_b)
-        ca = 12 * joint.body_a
-        G[rows, ca:ca + 12] = J[:, :12]
-        if not joint.is_ground:
-            cb = 12 * joint.body_b
-            G[rows, cb:cb + 12] = J[:, 12:]
+    G = sys._G0 + _hessian_times(sys, q)
+    g = sys._g0 + 0.5 * ((sys._G0 + G) @ q)
     return g, G
 
 
 def constraint_velocity_gradient(sys, v):
     """Configuration derivative of the velocity constraints, shape (m, n).
 
-    For g quadratic in q the map q -> G(q) v is affine with constant slope,
-    so d/dq [G(q) v] = G(v) - G(0) exactly, with the ground pseudo-body
-    held fixed in both evaluations.
+    For g quadratic in q the map q -> G(q) v is affine with constant slope
+    D(v) = H v, entry (i, a) = sum_b H[i, a, b] v[b], which is exact since
+    each H[i] is symmetric; it equals G(v) - G0.
     """
-    _, G = stack_constraints(sys, v)
-    return G - sys._jacobian_at_zero
+    return _hessian_times(sys, np.asarray(v, dtype=float))
 
 
 def constraint_hessian_contraction(sys, lam):
-    """Sum of constraint Hessians weighted by multipliers, K = sum lam_j H_j."""
-    return np.tensordot(np.asarray(lam, dtype=float), sys._hessian_stack, axes=(0, 0))
+    """Sum of constraint Hessians weighted by multipliers, K = sum_i lam_i H_i.
+
+    Shape (n, n), accumulated from the nonzeros of H only.
+    """
+    lam = np.asarray(lam, dtype=float)
+    return np.bincount(sys._H_ab, sys._H_values * lam[sys._H_rows],
+                       minlength=sys.n * sys.n).reshape(sys.n, sys.n)
 
 
 def potential(sys, q):

@@ -30,8 +30,6 @@ def _scenario_options(fn):
                       help="Plain midpoint or the velocity-projected variant.")(fn)
     fn = click.option("--tol", type=float, default=1e-9, show_default=True,
                       help="Newton absolute tolerance.")(fn)
-    fn = click.option("--seed", type=int, default=None,
-                      help="Reserved; the dynamics are deterministic.")(fn)
     return fn
 
 
@@ -49,7 +47,7 @@ def _load(scenario):
 @click.option("--t-end", type=float, default=None, help="End time override.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="CSV output path; a .json sidecar is written next to it.")
-def simulate_cmd(scenario, scheme, tol, seed, h, t_end, out):
+def simulate_cmd(scenario, scheme, tol, h, t_end, out):
     """Run one scenario and write the trajectory CSV plus a JSON summary."""
     config = _load(scenario)
     h = config.h if h is None else h
@@ -87,7 +85,7 @@ def simulate_cmd(scenario, scheme, tol, seed, h, t_end, out):
 @click.option("--tbar", type=float, required=True, help="Comparison time.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Optional JSON output with errors and slopes.")
-def converge(scenario, scheme, tol, seed, h_list, ref_h, tbar, out):
+def converge(scenario, scheme, tol, h_list, ref_h, tbar, out):
     """Convergence study against a fine-step reference solution."""
     config = _load(scenario)
     try:

@@ -170,10 +170,6 @@ class ConvergenceFit:
     intercept: float
     excluded: tuple
 
-    def __iter__(self):  # allow slope, _ = fit unpacking in quick scripts
-        yield self.slope
-        yield self.intercept
-
 
 def convergence_orders(h_values, errors):
     """Fit observed convergence orders from (h, error) samples.

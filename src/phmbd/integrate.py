@@ -9,7 +9,10 @@ what makes the discrete energy and angular-momentum balances exact.
 
 All residuals are polynomial in the unknowns (quadratic through the
 constraint Jacobian, at most cubic in the augmented scheme), so the
-analytic Newton matrices assemble from constant constraint Hessians.
+analytic Newton matrices assemble from the constraint constants fixed when
+the system is built (see phmbd.assembly): G(q) = G0 + H q, the slope
+D(v) = H v of G(q) v, and the contraction K(lambda) = sum_i lambda_i H_i
+of the sparse constant Hessian H.
 """
 from __future__ import annotations
 
@@ -72,7 +75,6 @@ class IntegratorConfig:
         t_end: final time, an integer multiple of h
         newton_tol: infinity-norm residual tolerance of the corrector
         newton_max_iter: iteration cap of the corrector
-        jacobian_mode: "analytic" or "fd" (finite-difference cross-check)
     """
 
     h: float
@@ -80,14 +82,11 @@ class IntegratorConfig:
     scheme: str = "mp"
     newton_tol: float = 1e-9
     newton_max_iter: int = 50
-    jacobian_mode: str = "analytic"
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", _canonical_scheme(self.scheme))
         if self.h <= 0.0:
             raise ValueError(f"step size must be positive, got {self.h}")
-        if self.jacobian_mode not in ("analytic", "fd"):
-            raise ValueError(f"unknown jacobian_mode {self.jacobian_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,9 @@ class StepResult:
 class IntegrationError(RuntimeError):
     """Newton corrector failure, annotated with where the step stalled."""
 
-    def __init__(self, message, time, step_index, residual_norm, iterations):
+    def __init__(self, message, time, residual_norm, iterations):
         super().__init__(message)
         self.time = time
-        self.step_index = step_index
         self.residual_norm = residual_norm
         self.iterations = iterations
 
@@ -358,8 +356,6 @@ def step(sys, state, config, guess=None):
     else:
         residual_fn = lambda y: ggl_residual(sys, state, y, h)
         jacobian_fn = lambda y: ggl_jacobian(sys, state, y, h)
-    if config.jacobian_mode == "fd":
-        jacobian_fn = lambda y: finite_difference_jacobian(residual_fn, y)
 
     if guess is None:
         guess = _default_guess(state, h)
@@ -376,7 +372,6 @@ def step(sys, state, config, guess=None):
             f"Newton corrector failed at t = {state.t:.6g}: {result.message} "
             f"(residual {result.residual_norm:.3e} after {iterations} iterations)",
             time=state.t,
-            step_index=None,
             residual_norm=result.residual_norm,
             iterations=iterations,
         )

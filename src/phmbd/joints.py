@@ -5,7 +5,9 @@ algebraic conditions on the anchor offset Delta p = p_B - p_A (both anchors
 materialized from the shared joint location at compile time) and on dot
 products between joint-frame axes of A and directors of B. All residuals
 are quadratic polynomials in the stacked configuration (q_A, q_B), so the
-constraint Jacobian is affine and the Hessians are constant.
+constraint Jacobian is affine and the Hessians are constant. The assembly
+therefore evaluates `residual` and `jacobian` only when a system is built,
+to read off each pair's value and Jacobian at zero and its Hessians.
 
 A pair whose two body indices coincide attaches the body to the ground,
 modeled as a motionless pseudo-body at the origin with identity directors.
@@ -124,12 +126,6 @@ def joint_frame(axis):
     m2 = m2 / np.linalg.norm(m2)
     m1 = np.cross(m2, n)
     return n, m1, m2
-
-
-def _config_for(body_index, spec, configs):
-    if spec.body_a == spec.body_b:
-        raise AssertionError("ground side resolved by caller")
-    return np.asarray(configs[body_index], dtype=float)
 
 
 def _check_orthonormal(q, label, tol=1e-6):
@@ -262,12 +258,13 @@ def residual(joint, q_a, q_b):
 
 def _gap_rows(joint):
     """Jacobian of the anchor gap, 3 x 24, constant in q."""
+    eye = np.eye(3)
     J = np.zeros((3, 24))
-    J[:, 0:3] = -np.eye(3)
-    J[:, 12:15] = np.eye(3)
+    J[:, 0:3] = -eye
+    J[:, 12:15] = eye
     for i in range(3):
-        J[:, 3 + 3 * i:6 + 3 * i] = -joint.X_a[i] * np.eye(3)
-        J[:, 15 + 3 * i:18 + 3 * i] = joint.X_b[i] * np.eye(3)
+        J[:, 3 + 3 * i:6 + 3 * i] = -joint.X_a[i] * eye
+        J[:, 15 + 3 * i:18 + 3 * i] = joint.X_b[i] * eye
     return J
 
 

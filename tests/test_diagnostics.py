@@ -54,14 +54,24 @@ def test_rms_error_zero_against_itself(flying_pair):
 
 
 def test_rms_error_decreases_with_step(flying_pair):
+    """q and v errors shrink with h; H and L errors stay at solver precision.
+
+    The scheme conserves H and L exactly on the load-free flying pair, so
+    their errors are the reference's own drift and their order across h is
+    rounding noise; they are held to the bounds of the conservation check
+    in test_acceptance.py instead.
+    """
     sys, state = flying_pair
     ref = simulate(sys, state, IntegratorConfig(h=1e-4, t_end=0.01))
     coarse = simulate(sys, state, IntegratorConfig(h=1e-2, t_end=0.01))
     fine = simulate(sys, state, IntegratorConfig(h=1e-3, t_end=0.01))
     e_coarse = rms_error(coarse, ref, 0.01)
     e_fine = rms_error(fine, ref, 0.01)
-    for key in ("q", "v", "H", "L"):
+    for key in ("q", "v"):
         assert e_fine[key] < e_coarse[key]
+    for err in (e_coarse, e_fine):
+        assert err["H"] <= 1e-9 * abs(ref.H[0])
+        assert err["L"] <= 1e-8 * np.linalg.norm(ref.L[0])
 
 
 def test_convergence_orders_exact_powers():

@@ -48,15 +48,19 @@ class ConstantWrench:
 
 
 def _pair_system(kind="cylindrical", gravity=(0.0, 0.0, 0.0), loads=(),
-                 seed=0):
-    """Two bodies joined by one pair, compiled at a random configuration."""
+                 seed=0, ground=False):
+    """Two bodies joined by one pair, compiled at a random configuration.
+
+    With ground=True the pair attaches body 0 to ground instead and body 1
+    is free; the velocities below are then not consistent with the pair.
+    """
     rng = np.random.default_rng(seed)
     q_a = random_orthonormal_config(rng)
     q_b = random_orthonormal_config(rng)
     loc = 0.5 * (q_a[:3] + q_b[:3]) + 0.1 * rng.standard_normal(3)
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
-    spec = JointSpec(kind, 0, 1, loc,
+    spec = JointSpec(kind, 0, 0 if ground else 1, loc,
                      None if kind == "spherical" else axis)
     joint = compile_joint(spec, [q_a, q_b])
     bodies = [
