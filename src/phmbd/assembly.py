@@ -29,6 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import joints as joints_mod
+# angular_momentum is no longer called here; it stays importable from this
+# module because perfbench/tracer.py wraps it by this name.
 from .directors import (
     RigidBody,
     angular_momentum,
@@ -241,11 +243,16 @@ def hamiltonian(sys, q, v):
 
 
 def total_angular_momentum(sys, q, v):
-    """System angular momentum about the inertial origin, shape (3,)."""
-    L = np.zeros(3)
-    for k, body in enumerate(sys.bodies):
-        L += angular_momentum(body, q[12 * k:12 * k + 12], v[12 * k:12 * k + 12])
-    return L
+    """System angular momentum about the inertial origin, shape (3,).
+
+    Each body contributes x_k x (M v)_k summed over its four 3-blocks
+    (phi, d1, d2, d3); the diagonal mass matrix weights the center-of-mass
+    block by the mass and director block i by the Euler value E_i. The
+    per-body sums are grouped as in directors.angular_momentum.
+    """
+    L = np.cross(np.asarray(q, dtype=float).reshape(-1, 4, 3),
+                 (sys.mass_diag * np.asarray(v, dtype=float)).reshape(-1, 4, 3))
+    return (L[:, 0] + L[:, 1:].sum(axis=1)).sum(axis=0)
 
 
 def input_assembly(sys, q, t):

@@ -31,7 +31,6 @@ __all__ = [
     "load_scenario",
     "builtin_scenarios",
     "build_system",
-    "closed_loop_load",
     "slider_crank_initial_velocities",
     "write_trajectory_csv",
     "write_summary_json",
@@ -317,21 +316,6 @@ def _ramp_decay(load):
         return np.concatenate([f * force, f * torque])
 
     return wrench
-
-
-def closed_loop_load(t):
-    """Ramp-and-decay wrench driving the closed-loop benchmark's first bar.
-
-    F = 8 f(t) e1 and tau = 6 f(t) e1 with f rising linearly to 100 at
-    t = 0.5, falling back to zero at t = 1, and vanishing afterwards.
-    """
-    if t <= 0.0 or t > 1.0:
-        f = 0.0
-    elif t <= 0.5:
-        f = 200.0 * t
-    else:
-        f = 200.0 * (1.0 - t)
-    return np.array([8.0 * f, 0.0, 0.0, 6.0 * f, 0.0, 0.0])
 
 
 def build_system(config):

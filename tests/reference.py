@@ -3,7 +3,9 @@
 The constraint kernel is checked against `loop_constraints`, which
 evaluates every body's orthonormality rows and every pair's residual and
 Jacobian at q directly, one by one, instead of through the constants
-g0, G0 and H that the library fixes at assembly.
+g0, G0 and H that the library fixes at assembly. The stacked angular
+momentum is checked against `loop_angular_momentum`, the sum of the
+per-body function.
 
 The constrained equations of motion are reduced to an ODE on (q, v) by
 solving the acceleration-level constraint for the multipliers,
@@ -24,7 +26,11 @@ from phmbd.assembly import (
     potential,
     stack_constraints,
 )
-from phmbd.directors import internal_constraint_gradient, internal_constraints
+from phmbd.directors import (
+    angular_momentum,
+    internal_constraint_gradient,
+    internal_constraints,
+)
 
 
 def loop_constraints(sys, q):
@@ -70,6 +76,15 @@ def loop_hessian_contraction(sys, lam):
     G0 = loop_constraints(sys, np.zeros(sys.n))[1]
     return np.column_stack([(loop_constraints(sys, e)[1] - G0).T @ lam
                             for e in np.eye(sys.n)])
+
+
+def loop_angular_momentum(sys, q, v):
+    """Total angular momentum as the sum of directors.angular_momentum over
+    the bodies."""
+    L = np.zeros(3)
+    for k, body in enumerate(sys.bodies):
+        L += angular_momentum(body, q[12 * k:12 * k + 12], v[12 * k:12 * k + 12])
+    return L
 
 
 def index_reduced_rhs(sys, t, y):

@@ -22,6 +22,8 @@ from phmbd.directors import angular_momentum, internal_constraints
 from phmbd.joints import residual as joint_residual
 
 from conftest import fd_jacobian
+from reference import loop_angular_momentum
+from test_kernel import _pendulum_chain
 
 SEED = 4242
 SKEW_TOL = 1e-14
@@ -98,6 +100,23 @@ def test_total_angular_momentum_additive(flying_pair):
                          state.v[12 * i:12 * i + 12])
         for i, b in enumerate(sys.bodies))
     npt.assert_allclose(L, per_body, atol=0.0)
+
+
+@pytest.mark.parametrize("scenario", ["flying_pair", "slider_crank", "closed_loop",
+                                      "chain"])
+def test_total_angular_momentum_matches_body_loop(scenario, request):
+    """The stacked sum over bodies equals the per-body loop at random
+    (q, v); chain is a 24-body chain of all pair types."""
+    rng = np.random.default_rng(SEED)
+    if scenario == "chain":
+        sys = _pendulum_chain(24, rng)
+        q = rng.standard_normal(sys.n)
+    else:
+        sys, state = request.getfixturevalue(scenario)
+        q = state.q + rng.standard_normal(sys.n)
+    v = rng.standard_normal(sys.n)
+    L, L_ref = total_angular_momentum(sys, q, v), loop_angular_momentum(sys, q, v)
+    assert np.abs(L - L_ref).max() <= 1e-14 * np.abs(L_ref).max()
 
 
 def test_velocity_gradient_operator(flying_pair):

@@ -12,6 +12,7 @@ from phmbd.integrate import (
     ggl_jacobian,
     ggl_residual,
     midpoint_jacobian,
+    midpoint_linearization,
     midpoint_residual,
     simulate,
     step,
@@ -55,6 +56,29 @@ def test_midpoint_jacobian_matches_fd(flying_pair):
     npt.assert_allclose(J / scale, J_fd / scale, atol=1e-6)
 
 
+@pytest.mark.parametrize("scenario, h", [
+    ("flying_pair", 1e-3),  # body-body Hessian blocks
+    ("slider_crank", 0.01),  # ground pairs
+    ("closed_loop", 0.1),  # applied load, so the term W = input_map_jacobian
+])
+def test_reduced_midpoint_update_matches_full_solve(scenario, h, request):
+    """The (n + m) update with q_next eliminated is the Newton step of the
+    full (2n + m) midpoint system, at y away from any solution."""
+    sys, state = request.getfixturevalue(scenario)
+    rng = np.random.default_rng(SEED)
+    y = np.concatenate([state.q + h * state.v + 0.01 * rng.standard_normal(sys.n),
+                        state.v + rng.standard_normal(sys.n),
+                        rng.standard_normal(sys.m)])
+    r, update = midpoint_linearization(sys, state, y, h)
+    npt.assert_array_equal(r, midpoint_residual(sys, state, y, h))
+    dy = update()
+    dy_full = np.linalg.solve(midpoint_jacobian(sys, state, y, h), -r)
+    assert np.abs(dy - dy_full).max() <= 1e-12 * np.abs(dy_full).max()
+    # a reused work array is overwritten entirely, stale entries included
+    work = np.full((sys.n + sys.m, sys.n + sys.m), np.nan)
+    npt.assert_array_equal(midpoint_linearization(sys, state, y, h, out=work)[1](), dy)
+
+
 def test_ggl_jacobian_matches_fd(flying_pair):
     sys, state = flying_pair
     rng = np.random.default_rng(SEED)
@@ -67,6 +91,8 @@ def test_ggl_jacobian_matches_fd(flying_pair):
         lambda yy: ggl_residual(sys, state, yy, h), y)
     scale = max(1.0, np.abs(J).max())
     npt.assert_allclose(J / scale, J_fd / scale, atol=1e-6)
+    # a reused work array is overwritten entirely, stale entries included
+    npt.assert_array_equal(ggl_jacobian(sys, state, y, h, out=np.full(J.shape, np.nan)), J)
 
 
 def test_single_step_conserves_energy_and_positions(flying_pair):

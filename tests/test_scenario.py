@@ -12,7 +12,6 @@ from phmbd.scenario import (
     ScenarioError,
     build_system,
     builtin_scenarios,
-    closed_loop_load,
     load_scenario,
     parse_scenario,
     serialize_scenario,
@@ -81,7 +80,11 @@ def test_closed_loop_setup_data(closed_loop):
     npt.assert_allclose(state.v, 0.0, atol=0.0)  # starts at rest
 
 
-def test_closed_loop_load_profile():
+def test_closed_loop_load_profile(closed_loop):
+    """The bundled closed_loop load ramps to 8 f e1 and 6 f e1 with f = 100
+    at t = 0.5 and decays back to zero at t = 1."""
+    sys, _ = closed_loop
+    closed_loop_load = sys.loads[0].wrench
     t, F = 0.5, closed_loop_load(0.5)
     npt.assert_allclose(F, [800.0, 0, 0, 600.0, 0, 0], atol=0.0)
     npt.assert_allclose(closed_loop_load(0.25), np.array(F) / 2, atol=0.0)
