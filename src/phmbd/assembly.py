@@ -16,10 +16,13 @@ constants fixed when the system is built: g0 = g(0), G0 = G(0) and the
 nonzeros of the constant row Hessians H[i, a, b], kept as flat COO
 arrays. Every later evaluation is a fixed sparse contraction:
 
-    G(q) = G0 + H q,    g(q) = g0 + (G0 + G(q)) q / 2,
+    G(q) = G0 + H q,    g(q) = g0 + G0 q + (H q) q / 2,
     D(v) = H v,         K(lambda) = sum_i lambda_i H_i.
 
 The per-body and per-pair constraint functions run only at construction.
+Construction also groups the bodies that H couples (_newton_groups) and
+decides once whether the mp Newton update eliminates those groups one by
+one or solves one dense system (_blocks_pay).
 """
 from __future__ import annotations
 
@@ -132,6 +135,11 @@ class MultibodySystem:
         self._H_ia = rows * self.n + a
         self._H_ab = a * self.n + b
 
+        # the mp Newton update eliminates these groups one by one when that
+        # is cheaper than one dense solve (integrate.midpoint_linearization)
+        groups = _newton_groups(self)
+        self._newton_blocks = groups if _blocks_pay(self, groups) else None
+
     def body_config(self, q, index):
         return q[12 * index:12 * index + 12]
 
@@ -188,6 +196,70 @@ def _constant_tensors(sys):
     return g0, G0, tuple(np.concatenate(p) for p in zip(*parts))
 
 
+def _newton_groups(sys):
+    """Bodies coupled by the constraint Hessians, bucketed by group size.
+
+    The groups are the connected components of the graph on the bodies
+    whose edges are the Hessian nonzeros H[i, a, b] with a and b in
+    different bodies. Every pair type but the spherical one is bilinear
+    across its two bodies, so a revolute chain is one group and a spherical
+    chain one group per body; orthonormality rows, ground pairs and loads
+    never couple two bodies. Returns one (vel, mult) pair per group size,
+    in increasing size: vel[g] holds the velocity indices of group g's
+    bodies (12 each) and mult[g] the indices of their orthonormality rows
+    (6 each), shapes (k, 12 b) and (k, 6 b) for the k groups of b bodies.
+    """
+    body_a = sys._H_ab // (12 * sys.n)
+    body_b = sys._H_ab % sys.n // 12
+    cross = body_a != body_b
+    ea, eb = body_a[cross], body_b[cross]
+    # each body takes the smallest label along its edges, then its label's
+    # label, until no label moves: then every group carries its first body
+    label = np.arange(len(sys.bodies))
+    while True:
+        new = label.copy()
+        low = np.minimum(label[ea], label[eb])
+        np.minimum.at(new, ea, low)
+        np.minimum.at(new, eb, low)
+        new = new[new]
+        if (new == label).all():
+            break
+        label = new
+    size = np.bincount(label, minlength=label.size)
+    groups = []
+    for b in sorted(set(size[size > 0].tolist())):
+        first = np.flatnonzero(size == b)
+        # row g lists the bodies labelled first[g], in increasing order
+        members = np.nonzero(label == first[:, None])[1].reshape(first.size, b)
+        groups.append(((12 * members[:, :, None] + np.arange(12)).reshape(first.size, -1),
+                       (6 * members[:, :, None] + np.arange(6)).reshape(first.size, -1)))
+    return tuple(groups)
+
+
+# Fixed price of one LAPACK call in _blocks_pay's flop count, from a sweep
+# of spherical chains of 2 to 40 bodies (numpy 2.4, OpenBLAS, one thread):
+# with it the rule switches to blocks where the two paths measure even, at
+# 5 bodies.
+LAPACK_CALL_FLOPS = 5e5
+
+
+def _blocks_pay(sys, groups):
+    """Whether the block elimination of the mp Newton matrix beats one dense
+    solve, by an operation count with a fixed price per LAPACK call.
+
+    Dense: one LU of size n + m. Blocks: one batched inverse per group
+    size, the Schur complement on the mj = m - m_internal joint multipliers
+    with e = n + m_internal eliminated unknowns, and its LU.
+    """
+    e = sys.n + sys.m_internal
+    mj = sys.m - sys.m_internal
+    dense = 2.0 / 3.0 * (sys.n + sys.m) ** 3 + LAPACK_CALL_FLOPS
+    blocks = (sum(2.0 * len(vel) * (vel.shape[1] + mult.shape[1]) ** 3 + LAPACK_CALL_FLOPS
+                  for vel, mult in groups)
+              + 2.0 * e * mj * (mj + 1) + 2.0 / 3.0 * mj ** 3 + LAPACK_CALL_FLOPS)
+    return blocks < dense
+
+
 def _hessian_times(sys, x):
     """H x, shape (m, n): entry (i, a) is sum_b H[i, a, b] x[b]."""
     return np.bincount(sys._H_ia, sys._H_values * x[sys._H_b],
@@ -199,14 +271,15 @@ def stack_constraints(sys, q):
 
     Returns (g, G) with shapes (m,) and (m, n); internal rows first, then
     joint rows in declaration order. Every row is quadratic in q, so
-    G(q) = G0 + H q and g(q) = g0 + (G0 + G(q)) q / 2, both exact, from the
-    constants g0 = g(0), G0 = G(0) and the sparse Hessian H fixed at
+    G(q) = G0 + H q and g(q) = g0 + G0 q + (H q) q / 2, both exact, from
+    the constants g0 = g(0), G0 = G(0) and the sparse Hessian H fixed at
     construction. Ground pairs contribute columns only for their real body.
     """
     q = np.asarray(q, dtype=float)
-    G = sys._G0 + _hessian_times(sys, q)
-    g = sys._g0 + 0.5 * ((sys._G0 + G) @ q)
-    return g, G
+    Hq = _hessian_times(sys, q)
+    g = sys._g0 + sys._G0 @ q + 0.5 * (Hq @ q)
+    Hq += sys._G0
+    return g, Hq
 
 
 def constraint_velocity_gradient(sys, v):

@@ -16,10 +16,16 @@ of the sparse constant Hessian H.
 
 The plain scheme's position update is linear and its mass matrix constant
 and diagonal, so each of its Newton iterations eliminates q_next and
-solves a dense system of size n + m in (v_next, lambda_mid) instead of
-2n + m (midpoint_linearization). The augmented scheme solves its full
-(2n + 2m) Newton matrix. midpoint_jacobian is the full plain-scheme
-matrix, kept as the reference the reduced update is tested against.
+solves a system of size n + m in (v_next, lambda_mid) instead of 2n + m
+(midpoint_linearization). That system is a saddle block per group of
+bodies the constraint Hessians couple, tied together only by the joint
+multipliers. Where an operation count fixed at assembly says it pays
+(larger systems of small groups, such as spherical chains of five bodies
+or more), the blocks are eliminated group by group and the joint
+multipliers solve a Schur system; otherwise the system is solved by one
+dense LU. The augmented scheme solves its full (2n + 2m) Newton matrix.
+midpoint_jacobian is the full plain-scheme matrix, kept as the reference
+the reduced update is tested against.
 """
 from __future__ import annotations
 
@@ -152,11 +158,20 @@ def midpoint_linearization(sys, state, y, h, out=None):
     update; the update is built only when called. It raises
     np.linalg.LinAlgError when the reduced matrix is singular.
 
+    The system is solved in one of two ways, chosen once per system when
+    it is assembled (MultibodySystem._newton_blocks): by one dense LU of
+    the assembled matrix, or, when an operation count says it is cheaper,
+    by eliminating the saddle block of each group of Hessian-coupled
+    bodies and solving a Schur system on the joint multipliers
+    (_block_solve), without assembling the matrix. Both use exactly one
+    np.linalg.solve.
+
     out, if given, is an (n + m, n + m) array the reduced matrix is
-    assembled in, overwriting it. step passes one such array to every
-    Newton iteration of a step. A fresh matrix above glibc's mmap threshold
-    is page-faulted in on every fill: on a 24-body chain (a 2 MB matrix,
-    2-vCPU Xeon VM, glibc 2.36) reusing it cut the step time by a third.
+    assembled in on the dense path, overwriting it; the block path does not
+    use it. step passes one such array to every Newton iteration of a
+    step. A fresh matrix above glibc's mmap threshold is page-faulted in on
+    every fill: on a 24-body chain solved densely (a 2 MB matrix, 2-vCPU
+    Xeon VM, glibc 2.36) reusing it cut the step time by a third.
     """
     n, m = sys.n, sys.m
     q1, v1, lam = y[:n], y[n:2 * n], y[2 * n:]
@@ -182,19 +197,82 @@ def midpoint_linearization(sys, state, y, h, out=None):
         # D is linear in v, so this is (h/2) D(v_mid)
         hD = constraint_velocity_gradient(sys, (0.5 * h) * vm)
         b = np.concatenate([(0.5 * h) * (KW @ r_q) - r_v, hD @ r_q - r_l])
-        A = np.empty((n + m, n + m)) if out is None else out
-        np.multiply(KW, 0.25 * h * h, out=A[:n, :n])
-        diag = np.arange(n)
-        A[diag, diag] += sys.mass_diag
-        np.multiply(G.T, h, out=A[:n, n:])
-        hD += G
-        np.multiply(hD, 0.5 * h, out=A[n:, :n])
-        A[n:, n:] = 0.0
-        x = np.linalg.solve(A, b)
+        hD += G  # G(q_mid + h v_mid / 2)
+        if sys._newton_blocks is None:
+            x = np.linalg.solve(_reduced_matrix(sys, h, KW, G, hD, out), b)
+        else:
+            x = _block_solve(sys, sys._newton_blocks, h, KW, G, hD, b)
         dv = x[:n]
         return np.concatenate([(0.5 * h) * dv - r_q, dv, x[n:]])
 
     return r, update
+
+
+def _reduced_matrix(sys, h, KW, G, Gs, out=None):
+    """The (n + m) matrix of midpoint_linearization, assembled in out.
+
+    KW = K(lambda) - W, G = G(q_mid) and Gs = G(q_mid + h v_mid / 2).
+    """
+    n, m = sys.n, sys.m
+    A = np.empty((n + m, n + m)) if out is None else out
+    np.multiply(KW, 0.25 * h * h, out=A[:n, :n])
+    diag = np.arange(n)
+    A[diag, diag] += sys.mass_diag
+    np.multiply(G.T, h, out=A[:n, n:])
+    np.multiply(Gs, 0.5 * h, out=A[n:, :n])
+    A[n:, n:] = 0.0
+    return A
+
+
+def _block_solve(sys, groups, h, KW, G, Gs, b):
+    """Solve _reduced_matrix(sys, h, KW, G, Gs) x = b group by group.
+
+    groups is a body grouping from assembly._newton_groups: no entry of K,
+    W or an orthonormality row couples two groups, so ordering each group's
+    velocities and orthonormality multipliers together makes the matrix
+
+        [E  B]    E block-diagonal with one saddle block
+        [C  0]    [[M + (h^2/4)(K - W), h G_int^T], [(h/2) Gs_int, 0]]
+                  per group, B = h G_joint^T and C = (h/2) Gs_joint
+
+    with B and C nonzero only in velocity rows and columns. Each size of
+    group takes one batched inverse of its saddle blocks, which pivots
+    across the velocity and multiplier rows: inverting the velocity block
+    alone loses digits when a body has near-zero Euler values. The joint
+    multipliers then solve the Schur system (C E^-1 B) x_j = C E^-1 b_e - b_j
+    with one np.linalg.solve, and x_e = E^-1 (b_e - B x_j). Raises
+    np.linalg.LinAlgError when a saddle block or the Schur system is
+    singular.
+    """
+    n, mi = sys.n, sys.m_internal
+    e = n + mi
+    BT = h * G[mi:].T  # (n, mj)
+    C = (0.5 * h) * Gs[mi:]  # (mj, n)
+    EB = np.empty(BT.shape)  # velocity rows of E^-1 B; C has no others
+    Eb = np.empty(e)
+    inverses = []
+    for vel, mult in groups:
+        nv = vel.shape[1]
+        rows, cols = mult[:, :, None], vel[:, None, :]
+        A = np.empty((len(vel), nv + mult.shape[1], nv + mult.shape[1]))
+        np.multiply(KW[vel[:, :, None], cols], 0.25 * h * h, out=A[:, :nv, :nv])
+        diag = np.arange(nv)
+        A[:, diag, diag] += sys.mass_diag[vel]
+        np.multiply(G[rows, cols].transpose(0, 2, 1), h, out=A[:, :nv, nv:])
+        np.multiply(Gs[rows, cols], 0.5 * h, out=A[:, nv:, :nv])
+        A[:, nv:, nv:] = 0.0
+        inv = np.linalg.inv(A)
+        idx = np.concatenate([vel, n + mult], axis=1)
+        EB[vel] = inv[:, :nv, :nv] @ BT[vel]
+        Eb[idx] = (inv @ b[idx, None])[..., 0]
+        inverses.append((idx, inv))
+    x = np.empty(b.size)
+    x[e:] = xj = np.linalg.solve(C @ EB, C @ Eb[:n] - b[e:])
+    z = b[:e].copy()
+    z[:n] -= BT @ xj
+    for idx, inv in inverses:
+        x[idx] = (inv @ z[idx, None])[..., 0]
+    return x
 
 
 def midpoint_jacobian(sys, state, y, h):
@@ -231,18 +309,44 @@ def ggl_residual(sys, state, y, h):
     g and G v keep their initial grid values to the solver tolerance: zero
     on consistent initial data, not driven to zero on inconsistent data.
     """
-    n, m = sys.n, sys.m
-    q1, v1, lam, gam = y[:n], y[n:2 * n], y[2 * n:2 * n + m], y[2 * n + m:]
-    qm = 0.5 * (state.q + q1)
-    vm = 0.5 * (state.v + v1)
+    return _ggl_linearization(sys, state, y, h)[0]
+
+
+def ggl_jacobian(sys, state, y, h, out=None):
+    """Analytic derivative of ggl_residual with respect to y.
+
+    out, if given, is a (2n + 2m, 2n + 2m) array the matrix is assembled in
+    and returned, overwriting it; step passes one such array to every
+    Newton iteration of a step, as for midpoint_linearization.
+    """
+    return _ggl_matrix(sys, state, y, h, _ggl_midpoint(sys, state, y, h), out)
+
+
+def _ggl_midpoint(sys, state, y, h):
+    """(q_mid, v_mid, G(q_mid), grad V, D(v_mid), applied force) of an
+    augmented step, shared by its residual and its Newton matrix."""
+    n = sys.n
+    qm = 0.5 * (state.q + y[:n])
+    vm = 0.5 * (state.v + y[n:2 * n])
     _, G = stack_constraints(sys, qm)
     _, gradV = potential(sys, qm)
     D = constraint_velocity_gradient(sys, vm)
-    Minv = sys.mass_diag_inv
     if sys.loads:
         f_ext = input_assembly(sys, qm, state.t + 0.5 * h)
     else:
         f_ext = np.zeros(n)
+    return qm, vm, G, gradV, D, f_ext
+
+
+def _ggl_linearization(sys, state, y, h, out=None):
+    """Residual of one augmented step at y and its dense Newton update,
+    with the Newton matrix assembled in out. The midpoint quantities are
+    evaluated once for both."""
+    n, m = sys.n, sys.m
+    q1, v1, lam, gam = y[:n], y[n:2 * n], y[2 * n:2 * n + m], y[2 * n + m:]
+    mid = _ggl_midpoint(sys, state, y, h)
+    _, vm, G, gradV, D, f_ext = mid
+    Minv = sys.mass_diag_inv
 
     r = np.empty(2 * n + 2 * m)
     r[:n] = (q1 - state.q) - h * vm - h * (Minv * (G.T @ gam))
@@ -262,23 +366,14 @@ def ggl_residual(sys, state, y, h):
         - G @ (Minv * (D.T @ gam))
         + G @ (Minv * f_ext)
     )
-    return r
+    return r, lambda: np.linalg.solve(_ggl_matrix(sys, state, y, h, mid, out), -r)
 
 
-def ggl_jacobian(sys, state, y, h, out=None):
-    """Analytic derivative of ggl_residual with respect to y.
-
-    out, if given, is a (2n + 2m, 2n + 2m) array the matrix is assembled in
-    and returned, overwriting it; step passes one such array to every
-    Newton iteration of a step, as for midpoint_linearization.
-    """
+def _ggl_matrix(sys, state, y, h, mid, out=None):
+    """ggl_jacobian from the midpoint quantities of _ggl_midpoint."""
     n, m = sys.n, sys.m
-    q1, v1, lam, gam = y[:n], y[n:2 * n], y[2 * n:2 * n + m], y[2 * n + m:]
-    qm = 0.5 * (state.q + q1)
-    vm = 0.5 * (state.v + v1)
-    _, G = stack_constraints(sys, qm)
-    _, gradV = potential(sys, qm)
-    D = constraint_velocity_gradient(sys, vm)
+    lam, gam = y[2 * n:2 * n + m], y[2 * n + m:]
+    qm, _, G, gradV, D, f_ext = mid
     Minv = sys.mass_diag_inv
     GMinv = G * Minv
     K_lam = constraint_hessian_contraction(sys, lam)
@@ -286,11 +381,8 @@ def ggl_jacobian(sys, state, y, h, out=None):
     w = Minv * (G.T @ gam)
     D_w = constraint_velocity_gradient(sys, w)
     if sys.loads:
-        tmid = state.t + 0.5 * h
-        f_ext = input_assembly(sys, qm, tmid)
-        W = input_map_jacobian(sys, qm, tmid)
+        W = input_map_jacobian(sys, qm, state.t + 0.5 * h)
     else:
-        f_ext = np.zeros(n)
         W = np.zeros((n, n))
 
     J = np.empty((2 * n + 2 * m, 2 * n + 2 * m)) if out is None else out
@@ -376,13 +468,6 @@ def newton_solve(linearize, x0, tol=1e-9, max_iter=50):
     return NewtonResult(x, False, max_iter, norm, "no convergence within max_iter")
 
 
-def _ggl_linearization(sys, state, y, h, out):
-    """Residual of one augmented step at y and its dense Newton update,
-    with the Newton matrix assembled in out."""
-    r = ggl_residual(sys, state, y, h)
-    return r, lambda: np.linalg.solve(ggl_jacobian(sys, state, y, h, out), -r)
-
-
 def _default_guess(state, h):
     return np.concatenate([state.q + h * state.v, state.v, state.lam])
 
@@ -414,19 +499,20 @@ def step(sys, state, config, guess=None):
     guess holds (q_next, v_next, lambda_mid), defaulting to an explicit
     Euler position and the carried-over velocities and multipliers. The
     plain scheme solves an (n + m) linear system per Newton iteration, with
-    q_next eliminated (see midpoint_linearization). The augmented scheme
-    solves its full (2n + 2m) system. Each scheme assembles its Newton
-    matrix in one array per step. The augmented corrector starts from one
-    plain-midpoint iteration on guess (see _midpoint_start); any gamma
-    entries in guess are ignored, and that iteration is included in the
-    count. The converged midpoint multipliers are stored on the returned
-    state. Raises IntegrationError when the corrector fails.
+    q_next eliminated, densely or group by group (see
+    midpoint_linearization). The augmented scheme solves its full
+    (2n + 2m) system. Each dense Newton matrix is assembled in one array
+    per step. The augmented corrector starts from one plain-midpoint
+    iteration on guess (see _midpoint_start); any gamma entries in guess
+    are ignored, and that iteration is included in the count. The
+    converged midpoint multipliers are stored on the returned state.
+    Raises IntegrationError when the corrector fails.
     """
     n, m = sys.n, sys.m
     scheme = config.scheme
     h = config.h
     if scheme == "mp":
-        work = np.empty((n + m, n + m))
+        work = np.empty((n + m, n + m)) if sys._newton_blocks is None else None
         linearize = lambda y: midpoint_linearization(sys, state, y, h, out=work)
     else:
         work = np.empty((2 * n + 2 * m, 2 * n + 2 * m))

@@ -6,6 +6,7 @@ import pytest
 from phmbd.assembly import SystemState, hamiltonian, input_assembly, stack_constraints
 from phmbd.integrate import (
     SCHEME_ALIASES,
+    _ggl_linearization,
     IntegrationError,
     IntegratorConfig,
     finite_difference_jacobian,
@@ -93,6 +94,22 @@ def test_ggl_jacobian_matches_fd(flying_pair):
     npt.assert_allclose(J / scale, J_fd / scale, atol=1e-6)
     # a reused work array is overwritten entirely, stale entries included
     npt.assert_array_equal(ggl_jacobian(sys, state, y, h, out=np.full(J.shape, np.nan)), J)
+
+
+@pytest.mark.parametrize("scenario, h", [("flying_pair", 1e-3), ("closed_loop", 0.1)])
+def test_ggl_linearization_shares_midpoint_terms(scenario, h, request):
+    """The augmented corrector's residual and update, which share one
+    evaluation of the midpoint quantities, are ggl_residual and the dense
+    Newton step with ggl_jacobian, bit for bit."""
+    sys, state = request.getfixturevalue(scenario)
+    rng = np.random.default_rng(SEED)
+    y = np.concatenate([state.q + h * state.v + 0.01 * rng.standard_normal(sys.n),
+                        state.v + rng.standard_normal(sys.n),
+                        rng.standard_normal(2 * sys.m)])
+    work = np.full((2 * sys.n + 2 * sys.m,) * 2, np.nan)
+    r, update = _ggl_linearization(sys, state, y, h, work)
+    npt.assert_array_equal(r, ggl_residual(sys, state, y, h))
+    npt.assert_array_equal(update(), np.linalg.solve(ggl_jacobian(sys, state, y, h), -r))
 
 
 def test_single_step_conserves_energy_and_positions(flying_pair):

@@ -56,13 +56,19 @@ def test_kernel_matches_loop_oracle(seed):
                             loop_hessian_contraction(sys, lam)) <= KERNEL_RTOL, label
 
 
-def _pendulum_chain(bodies, rng):
+def _pendulum_chain(bodies, rng, kinds=PAIR_TYPES):
     """Links of length 0.5 hanging from ground, tilted at random about y.
 
     Body 0 hangs from ground by a revolute pair about y; each further link
     hangs from the lower end of its predecessor by a pair cycling through
-    all five types, so body-body Hessian blocks of every kind occur.
+    kinds, by default all five types, so body-body Hessian blocks of every
+    kind occur.
     """
+    return _pendulum_chain_config(bodies, rng, kinds)[0]
+
+
+def _pendulum_chain_config(bodies, rng, kinds=PAIR_TYPES):
+    """_pendulum_chain and the configuration its pairs are compiled at."""
     length = 0.5
     top = np.zeros(3)
     rigid, configs, specs = [], [], []
@@ -75,11 +81,12 @@ def _pendulum_chain(bodies, rng):
         if k == 0:
             specs.append(JointSpec("revolute", 0, 0, top, [0.0, 1.0, 0.0]))
         else:
-            kind = PAIR_TYPES[k % len(PAIR_TYPES)]
+            kind = kinds[k % len(kinds)]
             axis = None if kind == "spherical" else [0.0, 1.0, 0.0]
             specs.append(JointSpec(kind, k - 1, k, top, axis))
         top = top - length * d[2]
-    return MultibodySystem(rigid, [compile_joint(sp, configs) for sp in specs])
+    return (MultibodySystem(rigid, [compile_joint(sp, configs) for sp in specs]),
+            np.concatenate(configs))
 
 
 def test_hundred_body_chain_kernel_without_dense_hessians():
