@@ -3,7 +3,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from phmbd.assembly import SystemState, hamiltonian, input_assembly, stack_constraints
+from phmbd.assembly import (
+    SystemState,
+    ggl_operators,
+    hamiltonian,
+    input_assembly,
+    ph_operators,
+    stack_constraints,
+)
 from phmbd.integrate import (
     SCHEME_ALIASES,
     _ggl_linearization,
@@ -110,6 +117,40 @@ def test_ggl_linearization_shares_midpoint_terms(scenario, h, request):
     r, update = _ggl_linearization(sys, state, y, h, work)
     npt.assert_array_equal(r, ggl_residual(sys, state, y, h))
     npt.assert_array_equal(update(), np.linalg.solve(ggl_jacobian(sys, state, y, h), -r))
+
+
+@pytest.mark.parametrize("scheme", ["mp", "mp-ggl"])
+@pytest.mark.parametrize("scenario, h", [("flying_pair", 1e-3), ("closed_loop", 0.1)])
+def test_residual_is_the_midpoint_port_hamiltonian_system(scheme, scenario, h, request):
+    """Each scheme's residual is E (x1 - x0) - h J z - h B u of its
+    operators (ph_operators, ggl_operators) at (q_mid, v_mid) and the
+    midpoint multipliers, with the multiplier rows negated. B u is the
+    applied force f on the momentum rows and, for mp-ggl, G M^-1 f on the
+    gamma rows; it is zero elsewhere."""
+    sys, state = request.getfixturevalue(scenario)
+    n, m = sys.n, sys.m
+    ggl = scheme == "mp-ggl"
+    rng = np.random.default_rng(SEED)
+    y = np.concatenate([state.q + h * state.v + 0.01 * rng.standard_normal(n),
+                        state.v + rng.standard_normal(n),
+                        rng.standard_normal(2 * m if ggl else m)])
+    qm, vm, mult = 0.5 * (state.q + y[:n]), 0.5 * (state.v + y[n:2 * n]), y[2 * n:]
+    f = input_assembly(sys, qm, state.t + 0.5 * h)
+    Bu = np.zeros(y.size)
+    Bu[n:2 * n] = f
+    if ggl:
+        r = ggl_residual(sys, state, y, h)
+        E, J, z = ggl_operators(sys, qm, vm, mult[:m], mult[m:])
+        _, G = stack_constraints(sys, qm)
+        Bu[2 * n + m:] = G @ (f / sys.mass_diag)
+    else:
+        r = midpoint_residual(sys, state, y, h)
+        E, J, z = ph_operators(sys, qm, vm, mult)
+    dx = np.zeros(y.size)
+    dx[:2 * n] = y[:2 * n] - np.concatenate([state.q, state.v])
+    expected = E @ dx - h * (J @ z) - h * Bu
+    expected[2 * n:] *= -1.0
+    assert np.abs(r - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_single_step_conserves_energy_and_positions(flying_pair):
