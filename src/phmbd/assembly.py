@@ -9,7 +9,13 @@ differential-algebraic form
     E x_dot = J(x) z(x) + B(q) u,    E^T z = grad H,
 
 with skew-symmetric J, so the Hamiltonian obeys dH/dt = y^T u with the
-collocated output y = B^T z.
+collocated output y = B^T z. ggl_operators gives (E, J, z) of the
+index-reduced form, which adds a multiplier block gamma for the velocity
+constraints, and ph_operators is its leading block at gamma = 0.
+port_flow writes J z + B u once as the flow (w, p): the configuration
+rate w = v + M^-1 G^T gamma, which is also the collocated output, and the
+momentum rate p. Both midpoint schemes (phmbd.integrate) and the discrete
+power balance (phmbd.diagnostics) take their rows from it.
 
 All constraints are quadratic in q, so the whole constraint layer is three
 constants fixed when the system is built: g0 = g(0), G0 = G(0) and the
@@ -59,6 +65,7 @@ __all__ = [
     "input_map_jacobian",
     "ph_operators",
     "ggl_operators",
+    "port_flow",
     "consistency",
 ]
 
@@ -395,25 +402,12 @@ def ph_operators(sys, q, v, lam):
 
     Sizes (2n + m) square; E = diag(I, M, 0), J is skew with the constraint
     Jacobian in its coupling blocks, and z = (grad V, v, lambda) satisfies
-    E^T z = grad H.
+    E^T z = grad H. It is the leading block of ggl_operators at gamma = 0,
+    so J z + B u = (v, p, G v) with p the momentum rate of port_flow.
     """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    n, m = sys.n, sys.m
-    _, G = stack_constraints(sys, q)
-    _, gradV = potential(sys, q)
-
-    E = np.zeros((2 * n + m, 2 * n + m))
-    E[:n, :n] = np.eye(n)
-    E[n:2 * n, n:2 * n] = np.diag(sys.mass_diag)
-
-    J = _assemble_skew(
-        {(0, 1): np.eye(n), (1, 2): -G.T},
-        [n, n, m],
-    )
-    z = np.concatenate([gradV, v, lam])
-    return E, J, z
+    k = 2 * sys.n + sys.m
+    E, J, z = ggl_operators(sys, q, v, lam, np.zeros(sys.m))
+    return E[:k, :k], J[:k, :k], z[:k]
 
 
 def ggl_operators(sys, q, v, lam, gamma):
@@ -450,3 +444,19 @@ def ggl_operators(sys, q, v, lam, gamma):
     )
     z = np.concatenate([gradV, v, lam, gamma])
     return E, J, z
+
+
+def port_flow(sys, G, v, lam, force, gamma=None, D=None):
+    """Flow (w, p) of the system at a point x = (q, v, lam[, gamma]).
+
+    G = G(q), D = D(v) and force = f - grad V(q), with f the applied
+    force of the loads, come from the caller. With the operators of
+    ggl_operators at x and B u = (0, f, 0, G M^-1 f), J z + B u is
+    (w, p, G w, D w + G M^-1 p): w = v + M^-1 G^T gamma is the configuration
+    rate and the collocated output, p = force - G^T lam - D^T gamma the
+    momentum rate. Without gamma (ph_operators, B u = (0, f, 0)) w = v,
+    D is unused and J z + B u is (v, p, G v).
+    """
+    if gamma is None:
+        return v, force - G.T @ lam
+    return v + sys.mass_diag_inv * (G.T @ gamma), force - G.T @ lam - D.T @ gamma

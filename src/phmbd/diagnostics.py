@@ -3,15 +3,18 @@
 Everything here is post-processing on stored states. Conserved quantities
 are recomputed from the raw configuration and velocity arrays rather than
 trusting values cached during time stepping, so a report doubles as a
-check on the integrator's own bookkeeping.
+check on the integrator's own bookkeeping. The power balance charges each
+step with h w^T f, where w is the configuration rate of assembly.port_flow
+at the step's midpoint, the same flow both schemes' position update uses.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .assembly import (consistency, hamiltonian, input_assembly,
-                       stack_constraints, total_angular_momentum)
+from .assembly import (consistency, constraint_velocity_gradient, hamiltonian,
+                       input_assembly, port_flow, potential, stack_constraints,
+                       total_angular_momentum)
 
 __all__ = [
     "DiagnosticsReport",
@@ -70,19 +73,22 @@ class DiagnosticsReport:
 
 
 def _collocated_flow(sys, traj, i):
-    """Velocity the loads work against during step i -> i+1.
+    """Flow w of step i -> i+1 and the applied force f it works against.
 
-    For the plain midpoint scheme this is the midpoint velocity; the
-    augmented scheme adds the projection term M^-1 G(q)^T gamma that also
-    enters its position update, which is exactly the flow conjugate to the
-    collocated output.
+    w is the configuration rate of assembly.port_flow at the step's
+    midpoint with the step's multipliers, as in the position update of
+    either residual: the midpoint velocity for the plain scheme, plus the
+    projection term M^-1 G(q)^T gamma for the augmented one.
     """
     q_mid = 0.5 * (traj.q[i] + traj.q[i + 1])
-    w = 0.5 * (traj.v[i] + traj.v[i + 1])
-    if traj.gamma is not None:
-        _, G = stack_constraints(sys, q_mid)
-        w = w + sys.mass_diag_inv * (G.T @ traj.gamma[i + 1])
-    return q_mid, w
+    v_mid = 0.5 * (traj.v[i] + traj.v[i + 1])
+    f = input_assembly(sys, q_mid, traj.t[i] + 0.5 * traj.h)
+    force = f - potential(sys, q_mid)[1]
+    _, G = stack_constraints(sys, q_mid)
+    gamma = None if traj.gamma is None else traj.gamma[i + 1]
+    D = None if gamma is None else constraint_velocity_gradient(sys, v_mid)
+    w, _ = port_flow(sys, G, v_mid, traj.lam[i + 1], force, gamma, D)
+    return w, f
 
 
 def conservation_report(traj, sys):
@@ -95,9 +101,8 @@ def conservation_report(traj, sys):
     supplied = np.zeros(max(N - 1, 0))
     if sys.loads:
         for i in range(N - 1):
-            q_mid, w = _collocated_flow(sys, traj, i)
-            t_mid = traj.t[i] + 0.5 * traj.h
-            supplied[i] = traj.h * float(w @ input_assembly(sys, q_mid, t_mid))
+            w, f = _collocated_flow(sys, traj, i)
+            supplied[i] = traj.h * float(w @ f)
     scale = np.maximum(1.0, np.maximum(np.abs(H[:-1]), np.abs(H[1:])))
     defect = np.abs(dH - supplied) / scale
 

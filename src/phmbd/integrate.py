@@ -7,6 +7,15 @@ enforces velocity constraints at the grid points as well. Both evaluate
 every configuration-dependent quantity at the interval midpoint, which is
 what makes the discrete energy and angular-momentum balances exact.
 
+Both schemes are the port-Hamiltonian system E x_dot = J z + B u of
+phmbd.assembly at the midpoint, and both residuals are written once from
+its flow (w, p) (assembly.port_flow, evaluated by _midpoint_flow):
+
+    (q1 - q0 - h w,  M (v1 - v0) - h p,  h G w[,  h (D w + G M^-1 p)]),
+
+which is E (x1 - x0) - h (J z + B u) with the multiplier rows negated.
+The plain scheme has w = v_mid and no gamma row.
+
 All residuals are polynomial in the unknowns (quadratic through the
 constraint Jacobian, at most cubic in the augmented scheme), so the
 analytic Newton matrices assemble from the constraint constants fixed when
@@ -23,9 +32,10 @@ multipliers. Where an operation count fixed at assembly says it pays
 (larger systems of small groups, such as spherical chains of five bodies
 or more), the blocks are eliminated group by group and the joint
 multipliers solve a Schur system; otherwise the system is solved by one
-dense LU. The augmented scheme solves its full (2n + 2m) Newton matrix.
-midpoint_jacobian is the full plain-scheme matrix, kept as the reference
-the reduced update is tested against.
+dense LU. The augmented scheme solves its full (2n + 2m) Newton matrix,
+the chain rule through (w, p) (_ggl_matrix). midpoint_jacobian is the
+full plain-scheme matrix, kept as the reference the reduced update is
+tested against.
 """
 from __future__ import annotations
 
@@ -40,6 +50,7 @@ from .assembly import (
     hamiltonian,
     input_assembly,
     input_map_jacobian,
+    port_flow,
     potential,
     stack_constraints,
     total_angular_momentum,
@@ -57,7 +68,6 @@ __all__ = [
     "midpoint_jacobian",
     "ggl_residual",
     "ggl_jacobian",
-    "finite_difference_jacobian",
     "newton_solve",
     "step",
     "simulate",
@@ -132,9 +142,9 @@ def midpoint_residual(sys, state, y, h):
     """Nonlinear system of one plain midpoint step, shape (2n + m,).
 
     y stacks the unknowns (q_next, v_next, lambda_mid). The rows are the
-    position update against the midpoint velocity, the momentum balance
-    with all forces at the midpoint, and the h-scaled midpoint velocity
-    constraint.
+    position update against w = v_mid, the momentum balance with all forces
+    at the midpoint, and the h-scaled midpoint velocity constraint (see the
+    module docstring).
     """
     return midpoint_linearization(sys, state, y, h)[0]
 
@@ -173,21 +183,12 @@ def midpoint_linearization(sys, state, y, h, out=None):
     every fill: on a 24-body chain solved densely (a 2 MB matrix, 2-vCPU
     Xeon VM, glibc 2.36) reusing it cut the step time by a third.
     """
-    n, m = sys.n, sys.m
-    q1, v1, lam = y[:n], y[n:2 * n], y[2 * n:]
-    qm = 0.5 * (state.q + q1)
-    vm = 0.5 * (state.v + v1)
+    n = sys.n
+    lam = y[2 * n:]
+    mid = _midpoint_flow(sys, state, y, h)
+    qm, vm, G = mid[:3]
     tm = state.t + 0.5 * h
-    _, G = stack_constraints(sys, qm)
-    _, gradV = potential(sys, qm)
-
-    r = np.empty(2 * n + m)
-    r[:n] = (q1 - state.q) - h * vm
-    r2 = sys.mass_diag * (v1 - state.v) + h * gradV + h * (G.T @ lam)
-    if sys.loads:
-        r2 -= h * input_assembly(sys, qm, tm)
-    r[n:2 * n] = r2
-    r[2 * n:] = h * (G @ vm)
+    r = _residual(sys, state, y, h, mid)
 
     def update():
         r_q, r_v, r_l = r[:n], r[n:2 * n], r[2 * n:]
@@ -304,10 +305,11 @@ def ggl_residual(sys, state, y, h):
 
     y stacks (q_next, v_next, lambda_mid, gamma_mid). On top of the plain
     scheme, the position update absorbs the projection term M^-1 G^T gamma
-    and the last block enforces the time derivative of the velocity
-    constraint. By the secant identity of the quadratic constraints, both
-    g and G v keep their initial grid values to the solver tolerance: zero
-    on consistent initial data, not driven to zero on inconsistent data.
+    of w and the last block enforces the time derivative of the velocity
+    constraint (see the module docstring). By the secant identity of the
+    quadratic constraints, both g and G v keep their initial grid values to
+    the solver tolerance: zero on consistent initial data, not driven to
+    zero on inconsistent data.
     """
     return _ggl_linearization(sys, state, y, h)[0]
 
@@ -319,122 +321,95 @@ def ggl_jacobian(sys, state, y, h, out=None):
     and returned, overwriting it; step passes one such array to every
     Newton iteration of a step, as for midpoint_linearization.
     """
-    return _ggl_matrix(sys, state, y, h, _ggl_midpoint(sys, state, y, h), out)
+    return _ggl_matrix(sys, state, y, h, _midpoint_flow(sys, state, y, h), out)
 
 
-def _ggl_midpoint(sys, state, y, h):
-    """(q_mid, v_mid, G(q_mid), grad V, D(v_mid), applied force) of an
-    augmented step, shared by its residual and its Newton matrix."""
-    n = sys.n
+def _midpoint_flow(sys, state, y, h):
+    """(q_mid, v_mid, G(q_mid), D(v_mid), w, p) of one step at y.
+
+    (w, p) is the flow of assembly.port_flow at the interval midpoint,
+    with the multipliers of y: (q_next, v_next, lambda_mid) for the plain
+    scheme, where D is not needed and is None, and (..., gamma_mid) for the
+    augmented one. Each quantity is evaluated once, for the residual and
+    the Newton matrix alike.
+    """
+    n, m = sys.n, sys.m
     qm = 0.5 * (state.q + y[:n])
     vm = 0.5 * (state.v + y[n:2 * n])
     _, G = stack_constraints(sys, qm)
-    _, gradV = potential(sys, qm)
-    D = constraint_velocity_gradient(sys, vm)
+    force = -potential(sys, qm)[1]
     if sys.loads:
-        f_ext = input_assembly(sys, qm, state.t + 0.5 * h)
-    else:
-        f_ext = np.zeros(n)
-    return qm, vm, G, gradV, D, f_ext
+        force += input_assembly(sys, qm, state.t + 0.5 * h)
+    if y.size == 2 * n + m:
+        return (qm, vm, G, None) + port_flow(sys, G, vm, y[2 * n:], force)
+    D = constraint_velocity_gradient(sys, vm)
+    return (qm, vm, G, D) + port_flow(sys, G, vm, y[2 * n:2 * n + m], force,
+                                      y[2 * n + m:], D)
+
+
+def _residual(sys, state, y, h, mid):
+    """(q1 - q0 - h w, M (v1 - v0) - h p, h G w[, h (D w + G M^-1 p)]) from
+    the _midpoint_flow terms mid; the last block for the augmented scheme."""
+    n = sys.n
+    _, _, G, D, w, p = mid
+    rows = [(y[:n] - state.q) - h * w,
+            sys.mass_diag * (y[n:2 * n] - state.v) - h * p,
+            h * (G @ w)]
+    if D is not None:
+        rows.append(h * (D @ w + G @ (sys.mass_diag_inv * p)))
+    return np.concatenate(rows)
 
 
 def _ggl_linearization(sys, state, y, h, out=None):
     """Residual of one augmented step at y and its dense Newton update,
     with the Newton matrix assembled in out. The midpoint quantities are
     evaluated once for both."""
-    n, m = sys.n, sys.m
-    q1, v1, lam, gam = y[:n], y[n:2 * n], y[2 * n:2 * n + m], y[2 * n + m:]
-    mid = _ggl_midpoint(sys, state, y, h)
-    _, vm, G, gradV, D, f_ext = mid
-    Minv = sys.mass_diag_inv
-
-    r = np.empty(2 * n + 2 * m)
-    r[:n] = (q1 - state.q) - h * vm - h * (Minv * (G.T @ gam))
-    r[n:2 * n] = (
-        sys.mass_diag * (v1 - state.v)
-        + h * gradV
-        + h * (G.T @ lam)
-        + h * (D.T @ gam)
-        - h * f_ext
-    )
-    r[2 * n:2 * n + m] = h * (G @ vm + G @ (Minv * (G.T @ gam)))
-    r[2 * n + m:] = h * (
-        -G @ (Minv * gradV)
-        + D @ vm
-        - G @ (Minv * (G.T @ lam))
-        + D @ (Minv * (G.T @ gam))
-        - G @ (Minv * (D.T @ gam))
-        + G @ (Minv * f_ext)
-    )
+    mid = _midpoint_flow(sys, state, y, h)
+    r = _residual(sys, state, y, h, mid)
     return r, lambda: np.linalg.solve(_ggl_matrix(sys, state, y, h, mid, out), -r)
 
 
 def _ggl_matrix(sys, state, y, h, mid, out=None):
-    """ggl_jacobian from the midpoint quantities of _ggl_midpoint."""
-    n, m = sys.n, sys.m
-    lam, gam = y[2 * n:2 * n + m], y[2 * n + m:]
-    qm, _, G, gradV, D, f_ext = mid
-    Minv = sys.mass_diag_inv
-    GMinv = G * Minv
-    K_lam = constraint_hessian_contraction(sys, lam)
-    K_gam = constraint_hessian_contraction(sys, gam)
-    w = Minv * (G.T @ gam)
-    D_w = constraint_velocity_gradient(sys, w)
-    if sys.loads:
-        W = input_map_jacobian(sys, qm, state.t + 0.5 * h)
-    else:
-        W = np.zeros((n, n))
+    """ggl_jacobian from the _midpoint_flow terms mid, by the chain rule
+    through the flow (w, p); q_mid and v_mid move by half of q1 and v1.
 
-    J = np.empty((2 * n + 2 * m, 2 * n + 2 * m)) if out is None else out
-    J.fill(0.0)
-    i_q, i_v = slice(0, n), slice(n, 2 * n)
-    i_l, i_g = slice(2 * n, 2 * n + m), slice(2 * n + m, 2 * n + 2 * m)
+    In the column blocks (q1, v1, lambda, gamma), with K(c) = sum_i c_i H_i
+    the slope of G(q)^T c, D(v)^T gamma = K(gamma) v and W the slope of the
+    applied loads, the derivatives of the flow are
 
-    J[i_q, i_q] = np.eye(n) - 0.5 * h * (Minv[:, None] * K_gam)
-    J[i_q, i_v] = -0.5 * h * np.eye(n)
-    J[i_q, i_g] = -h * (Minv[:, None] * G.T)
+        dw = [M^-1 K(gamma) / 2,   I / 2,         0,     M^-1 G^T],
+        dp = [(W - K(lambda)) / 2, -K(gamma) / 2, -G^T,  -D^T].
 
-    J[i_v, i_q] = 0.5 * h * (K_lam - W)
-    J[i_v, i_v] = np.diag(sys.mass_diag) + 0.5 * h * K_gam
-    J[i_v, i_l] = h * G.T
-    J[i_v, i_g] = h * D.T
-
-    J[i_l, i_q] = 0.5 * h * (D + D_w + GMinv @ K_gam)
-    J[i_l, i_v] = 0.5 * h * G
-    J[i_l, i_g] = h * (GMinv @ G.T)
-
-    J[i_g, i_q] = 0.5 * h * (
-        -constraint_velocity_gradient(sys, Minv * gradV)
-        - constraint_velocity_gradient(sys, Minv * (G.T @ lam))
-        - GMinv @ K_lam
-        + D @ (Minv[:, None] * K_gam)
-        - constraint_velocity_gradient(sys, Minv * (D.T @ gam))
-        + constraint_velocity_gradient(sys, Minv * f_ext)
-        + GMinv @ W
-    )
-    J[i_g, i_v] = 0.5 * h * (2.0 * D + D_w - GMinv @ K_gam)
-    J[i_g, i_l] = -h * (GMinv @ G.T)
-    A = (D * Minv) @ G.T
-    J[i_g, i_g] = h * (A - A.T)
-    return J
-
-
-def finite_difference_jacobian(fn, x):
-    """Central-difference Jacobian of fn at x.
-
-    Exact up to roundoff for quadratic residuals, which covers the plain
-    scheme; the augmented scheme's cubic terms contribute O(dx^2).
+    G(q) u has slope D(u) = H u in q and D(v) u = D(u) v, so the rows are
+    [I, 0, 0, 0] - h dw, [0, M, 0, 0] - h dp, h (G dw + [D(w) / 2, 0, 0, 0])
+    and h (D dw + G M^-1 dp + [D(M^-1 p) / 2, D(w) / 2, 0, 0]).
     """
-    x = np.asarray(x, dtype=float)
-    r0 = fn(x)
-    J = np.empty((r0.size, x.size))
-    for j in range(x.size):
-        dx = np.sqrt(np.finfo(float).eps) * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += dx
-        xm[j] -= dx
-        J[:, j] = (fn(xp) - fn(xm)) / (2.0 * dx)
+    n, m = sys.n, sys.m
+    qm, _, G, D, w, p = mid
+    Minv = sys.mass_diag_inv
+    K_gam = constraint_hessian_contraction(sys, y[2 * n + m:])
+    KW = constraint_hessian_contraction(sys, y[2 * n:2 * n + m])
+    if sys.loads:
+        KW -= input_map_jacobian(sys, qm, state.t + 0.5 * h)
+    dw = np.hstack([(0.5 * Minv)[:, None] * K_gam, 0.5 * np.eye(n),
+                    np.zeros((n, m)), Minv[:, None] * G.T])
+    dp = -np.hstack([0.5 * KW, 0.5 * K_gam, G.T, D.T])
+    half_Dw = constraint_velocity_gradient(sys, 0.5 * w)
+
+    J = np.empty((2 * n + 2 * m,) * 2) if out is None else out
+    diag = np.arange(n)
+    J[:n] = -h * dw
+    J[diag, diag] += 1.0
+    J[n:2 * n] = -h * dp
+    J[n + diag, n + diag] += sys.mass_diag
+    lam_rows, gam_rows = J[2 * n:2 * n + m], J[2 * n + m:]
+    np.matmul(G, dw, out=lam_rows)
+    lam_rows[:, :n] += half_Dw
+    np.matmul(D, dw, out=gam_rows)
+    gam_rows += (G * Minv) @ dp
+    gam_rows[:, :n] += constraint_velocity_gradient(sys, (0.5 * Minv) * p)
+    gam_rows[:, n:2 * n] += half_Dw
+    J[2 * n:] *= h
     return J
 
 

@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .assembly import BodyLoad, MultibodySystem, SystemState
-from .directors import RigidBody, internal_constraints, split_config
+from .directors import RigidBody, hat, internal_constraints, split_config
 from .joints import (GROUND_CONFIG, PAIR_CONSTRAINT_COUNTS, JointError,
                      JointSpec, compile_joint, residual)
 
@@ -365,9 +365,6 @@ def slider_crank_initial_velocities(omega_crank, v_crank, rho_ab, rho_bc, rho_c,
     d_rod = np.asarray(d_rod, dtype=float).reshape(3, 3)
     n = np.asarray(block_normal, dtype=float)
     axis = np.asarray(block_axis, dtype=float)
-
-    def hat(a):
-        return np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
 
     A = np.zeros((7, 7))
     rhs = np.zeros(7)

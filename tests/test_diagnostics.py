@@ -13,10 +13,11 @@ from phmbd.diagnostics import (
 from phmbd.integrate import IntegratorConfig, simulate
 
 
-def test_conservation_report_power_identity(closed_loop):
+@pytest.mark.parametrize("scheme", ["mp", "mp-ggl"])
+def test_conservation_report_power_identity(closed_loop, scheme):
     """The collocated supply accounts for every joule, per step."""
     sys, state = closed_loop
-    traj = simulate(sys, state, IntegratorConfig(h=0.1, t_end=2.0))
+    traj = simulate(sys, state, IntegratorConfig(h=0.1, t_end=2.0, scheme=scheme))
     rep = conservation_report(traj, sys)
     assert rep.power_defect.max() <= 1e-12
     # per-step series live on the intervals; load switches off at t = 1
@@ -24,7 +25,7 @@ def test_conservation_report_power_identity(closed_loop):
     after = rep.t[1:] > 1.0 + 1e-12
     npt.assert_allclose(rep.supplied_energy[after], 0.0, atol=0.0)
     npt.assert_allclose(rep.dH[after], 0.0, atol=1e-9)
-    assert rep.metadata["scheme"] == "mp"
+    assert rep.metadata["scheme"] == scheme
     assert rep.metadata["h"] == 0.1
 
 

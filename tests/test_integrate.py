@@ -16,7 +16,6 @@ from phmbd.integrate import (
     _ggl_linearization,
     IntegrationError,
     IntegratorConfig,
-    finite_difference_jacobian,
     ggl_jacobian,
     ggl_residual,
     midpoint_jacobian,
@@ -25,6 +24,8 @@ from phmbd.integrate import (
     simulate,
     step,
 )
+
+from conftest import fd_jacobian
 
 SEED = 7
 
@@ -58,7 +59,7 @@ def test_midpoint_jacobian_matches_fd(flying_pair):
                         state.v + 0.01 * rng.standard_normal(sys.n),
                         rng.standard_normal(sys.m)])
     J = midpoint_jacobian(sys, state, y, h)
-    J_fd = finite_difference_jacobian(
+    J_fd = fd_jacobian(
         lambda yy: midpoint_residual(sys, state, yy, h), y)
     scale = max(1.0, np.abs(J).max())
     npt.assert_allclose(J / scale, J_fd / scale, atol=1e-6)
@@ -95,7 +96,7 @@ def test_ggl_jacobian_matches_fd(flying_pair):
                         state.v + 0.01 * rng.standard_normal(sys.n),
                         rng.standard_normal(2 * sys.m)])
     J = ggl_jacobian(sys, state, y, h)
-    J_fd = finite_difference_jacobian(
+    J_fd = fd_jacobian(
         lambda yy: ggl_residual(sys, state, yy, h), y)
     scale = max(1.0, np.abs(J).max())
     npt.assert_allclose(J / scale, J_fd / scale, atol=1e-6)
