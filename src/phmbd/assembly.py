@@ -25,10 +25,21 @@ arrays. Every later evaluation is a fixed sparse contraction:
     G(q) = G0 + H q,    g(q) = g0 + G0 q + (H q) q / 2,
     D(v) = H v,         K(lambda) = sum_i lambda_i H_i.
 
+The sparsity of G, D and K is therefore fixed too. The kernel computes
+only their values on two patterns built with the system (_Pattern): the
+entries (i, a) of G0 and H for G and D, and the entries (a, b) of H for K,
+each with one np.bincount over H. Products such as G w and G^T lambda, and
+the measures of consistency, work on those values; stack_constraints,
+constraint_velocity_gradient and constraint_hessian_contraction scatter
+them into the dense matrices that the dense Newton matrices and the
+operator triples need.
+
 The per-body and per-pair constraint functions run only at construction.
 Construction also groups the bodies that H couples (_newton_groups) and
 decides once whether the mp Newton update eliminates those groups one by
-one or solves one dense system (_blocks_pay).
+one or solves one dense system (_blocks_pay). For the former it builds,
+per group size, the scatter maps from the patterns into the groups'
+blocks (_GroupBlocks).
 """
 from __future__ import annotations
 
@@ -136,19 +147,58 @@ class MultibodySystem:
             grad[12 * k:12 * k + 3] = -body.mass * body.gravity
         self._grad_potential = grad
 
-        self._g0, self._G0, (rows, a, b, self._H_values) = _constant_tensors(self)
-        # flat bins of H x (entries (i, a)) and of K(lambda) (entries (a, b))
+        self._load_bodies = np.array([load.body for load in self.loads], dtype=int)
+        self._load_arms = np.array([load.r_material for load in self.loads],
+                                   dtype=float).reshape(-1, 3)
+
+        self._g0, (G0_rows, G0_cols, G0), (rows, a, b, self._H_values) = _constant_tensors(self)
         self._H_rows, self._H_b = rows, b
-        self._H_ia = rows * self.n + a
-        self._H_ab = a * self.n + b
+        # G and D live on the entries of G0 and of H's (i, a), K on H's
+        # (a, b); the inverses give the bin of each entry in its pattern
+        G_flat, G_bins = np.unique(np.concatenate([G0_rows * self.n + G0_cols,
+                                                   rows * self.n + a]), return_inverse=True)
+        K_flat, self._H_in_K = np.unique(a * self.n + b, return_inverse=True)
+        self._G_pattern = _Pattern((self.m, self.n), G_flat)
+        self._K_pattern = _Pattern((self.n, self.n), K_flat)
+        self._G0_values = np.zeros(G_flat.size)
+        self._G0_values[G_bins[:G0.size]] = G0
+        self._H_in_G = G_bins[G0.size:]
 
         # the mp Newton update eliminates these groups one by one when that
         # is cheaper than one dense solve (integrate.midpoint_linearization)
         groups = _newton_groups(self)
-        self._newton_blocks = groups if _blocks_pay(self, groups) else None
+        self._newton_blocks = (tuple(_GroupBlocks(self, vel, mult) for vel, mult in groups)
+                               if _blocks_pay(self, groups) else None)
 
     def body_config(self, q, index):
         return q[12 * index:12 * index + 12]
+
+
+class _Pattern:
+    """Fixed sparsity pattern of a matrix of the given shape.
+
+    flat holds the row-major flat indices of its entries, in increasing
+    order; a matrix on the pattern is the vector of its values there.
+    """
+
+    def __init__(self, shape, flat):
+        self.shape = shape
+        self.flat = flat
+        self.row, self.col = np.divmod(flat, shape[1])
+
+    def times(self, values, x):
+        """A x for the matrix A with these values."""
+        return np.bincount(self.row, values * x[self.col], minlength=self.shape[0])
+
+    def transpose_times(self, values, y):
+        """A^T y for the matrix A with these values."""
+        return np.bincount(self.col, values * y[self.row], minlength=self.shape[1])
+
+    def dense(self, values):
+        """The matrix with these values, as a dense array."""
+        A = np.zeros(self.shape)
+        A.ravel()[self.flat] = values
+        return A
 
 
 def _probe_affine(fn, width):
@@ -162,27 +212,28 @@ def _probe_affine(fn, width):
 
 
 def _constant_tensors(sys):
-    """g0 = g(0), G0 = G(0) and the nonzeros of the Hessians H[i, a, b].
+    """g0 = g(0) and the nonzeros of G0 = G(0) and of the Hessians H[i, a, b].
 
     All constraints are quadratic in q, so these three constants give g, G
     and their derivatives everywhere. The orthonormality rows are probed
     once from the director functions and tiled over the bodies. Each pair
     gives g0 from its residual and G0 and H from its Jacobian on basis
-    vectors, with the ground pseudo-body held at GROUND_CONFIG. H comes
-    back as COO arrays (rows, a, b, values), sorted by row, then a, then b.
+    vectors, with the ground pseudo-body held at GROUND_CONFIG. G0 comes
+    back as COO arrays (rows, cols, values) and H as (rows, a, b, values),
+    sorted by row, then a, then b.
     """
-    n, m, nb = sys.n, sys.m, len(sys.bodies)
+    m, nb = sys.m, len(sys.bodies)
     g0 = np.empty(m)
-    G0 = np.zeros((m, n))
 
     body_rows = 6 * np.arange(nb)[:, None] + np.arange(6)
     body_cols = 12 * np.arange(nb)[:, None] + np.arange(12)
     g0[:sys.m_internal] = np.tile(internal_constraints(np.zeros(12)), nb)
     G_int, H_int = _probe_affine(internal_constraint_gradient, 12)
-    G0[body_rows[:, :, None], body_cols[:, None, :]] = G_int
+    r, a = np.nonzero(G_int)
+    G0_parts = [(body_rows[:, r].ravel(), body_cols[:, a].ravel(), np.tile(G_int[r, a], nb))]
     r, a, b = np.nonzero(H_int)
-    parts = [(body_rows[:, r].ravel(), body_cols[:, a].ravel(),
-              body_cols[:, b].ravel(), np.tile(H_int[r, a, b], nb))]
+    H_parts = [(body_rows[:, r].ravel(), body_cols[:, a].ravel(),
+                body_cols[:, b].ravel(), np.tile(H_int[r, a, b], nb))]
 
     row = sys.m_internal
     zero12 = np.zeros(12)
@@ -196,11 +247,13 @@ def _constant_tensors(sys):
             cols = np.concatenate([cols, body_cols[joint.body_b]])
             g0[row:row + joint.count] = joints_mod.residual(joint, zero12, zero12)
             J0, H = _probe_affine(lambda x: joints_mod.jacobian(joint, x[:12], x[12:]), 24)
-        G0[row:row + joint.count, cols] = J0
+        r, a = np.nonzero(J0)
+        G0_parts.append((row + r, cols[a], J0[r, a]))
         r, a, b = np.nonzero(H)
-        parts.append((row + r, cols[a], cols[b], H[r, a, b]))
+        H_parts.append((row + r, cols[a], cols[b], H[r, a, b]))
         row += joint.count
-    return g0, G0, tuple(np.concatenate(p) for p in zip(*parts))
+    return (g0, tuple(np.concatenate(p) for p in zip(*G0_parts)),
+            tuple(np.concatenate(p) for p in zip(*H_parts)))
 
 
 def _newton_groups(sys):
@@ -216,8 +269,8 @@ def _newton_groups(sys):
     bodies (12 each) and mult[g] the indices of their orthonormality rows
     (6 each), shapes (k, 12 b) and (k, 6 b) for the k groups of b bodies.
     """
-    body_a = sys._H_ab // (12 * sys.n)
-    body_b = sys._H_ab % sys.n // 12
+    body_a = sys._K_pattern.row // 12
+    body_b = sys._K_pattern.col // 12
     cross = body_a != body_b
     ea, eb = body_a[cross], body_b[cross]
     # each body takes the smallest label along its edges, then its label's
@@ -243,6 +296,99 @@ def _newton_groups(sys):
     return tuple(groups)
 
 
+class _GroupBlocks:
+    """Where the mp Newton update of the k groups of one size comes from.
+
+    Each group holds b bodies: nv = 12 b velocities and nm = 6 b
+    orthonormality multipliers, at positions idx[g] = (vel[g], n + mult[g])
+    of (v, lambda), s = nv + nm unknowns in all. With h G_joint^T and
+    (h/2) Gs_joint the joint rows of the reduced matrix, the update needs
+    per group
+
+        A_g  (s, s):   [[M + (h^2/4)(K - W), h G_int^T], [(h/2) Gs_int, 0]],
+        B_g  (nv, wj): h G_joint^T on the group's velocities,
+        C_g  (wj, nv): (h/2) Gs_joint on the group's velocities,
+
+    over the joint rows that touch the group, padded to a common width wj
+    (_joint_slots). No entry of K couples two groups and every
+    orthonormality row lies in its body, so each entry of the K pattern and
+    each internal entry of the G pattern in the groups' columns falls in
+    one saddle block. Each map pairs entries of a pattern with flat
+    positions in A, B or C: K_entries -> K_at, G_int -> GT_at and Gs_at,
+    G_joint -> B_at and C_at. schur_at places C_g A_g^-1 B_g in the
+    (mj, mj) Schur matrix (mj^2 for padding), and loads lists (load, group,
+    offset) of the loaded bodies. A, B and C are the buffers, reused by
+    every Newton iteration; B and C are zero outside their maps. Being
+    kept with the system, they let one system be stepped by only one
+    thread at a time.
+    """
+
+    def __init__(self, sys, vel, mult):
+        n, mi = sys.n, sys.m_internal
+        mj = sys.m - mi
+        (k, nv), nm = vel.shape, mult.shape[1]
+        s = nv + nm
+        self.vel, self.mult, self.nv = vel, mult, nv
+        self.idx = np.concatenate([vel, n + mult], axis=1)
+        self.mass = sys.mass_diag[vel]
+        # group and local index of each velocity and orthonormality row,
+        # -1 outside these groups
+        group, local = np.full(n, -1), np.full(n, -1)
+        group[vel], local[vel] = np.arange(k)[:, None], np.arange(nv)
+        row_local = np.full(mi, -1)
+        row_local[mult] = nv + np.arange(nm)
+
+        Kp, Gp = sys._K_pattern, sys._G_pattern
+        self.K_entries = np.flatnonzero(group[Kp.row] >= 0)
+        a, b = Kp.row[self.K_entries], Kp.col[self.K_entries]
+        self.K_at = (group[a] * s + local[a]) * s + local[b]
+
+        self.G_int = np.flatnonzero((Gp.row < mi) & (group[Gp.col] >= 0))
+        a, r = Gp.col[self.G_int], Gp.row[self.G_int]
+        self.GT_at = (group[a] * s + local[a]) * s + row_local[r]
+        self.Gs_at = (group[a] * s + row_local[r]) * s + local[a]
+
+        self.G_joint, slot, self.joint = _joint_slots(sys, group)
+        wj = self.joint.shape[1]
+        a = Gp.col[self.G_joint]
+        self.B_at = (group[a] * nv + local[a]) * wj + slot
+        self.C_at = (group[a] * wj + slot) * nv + local[a]
+        real = self.joint < mj
+        self.schur_at = np.where(real[:, :, None] & real[:, None, :],
+                                 self.joint[:, :, None] * mj + self.joint[:, None, :],
+                                 mj * mj)
+        self.loads = [(l, group[12 * body], local[12 * body])
+                      for l, body in enumerate(sys._load_bodies) if group[12 * body] >= 0]
+
+        self.A = np.empty((k, s, s))
+        self.B = np.zeros((k, nv, wj))
+        self.C = np.zeros((k, wj, nv))
+
+
+def _joint_slots(sys, group):
+    """The joint rows that touch each group, from the pattern of G.
+
+    group[a] is the group of velocity a, or -1 outside the groups. Returns
+    (entries, slot, joint): the entries of the G pattern in joint rows and
+    in the groups' columns, the place of each entry's row in its group's
+    list, and the lists, joint[g] the joint-multiplier indices (rows minus
+    m_internal) in increasing order, padded with mj = m - m_internal to the
+    longest list, shape (k, wj).
+    """
+    m, mi = sys.m, sys.m_internal
+    k = group.max() + 1
+    Gp = sys._G_pattern
+    entries = np.flatnonzero((Gp.row >= mi) & (group[Gp.col] >= 0))
+    pairs, pair_of = np.unique(group[Gp.col[entries]] * m + Gp.row[entries] - mi,
+                               return_inverse=True)
+    pair_group = pairs // m
+    count = np.bincount(pair_group, minlength=k)
+    slot = np.arange(pairs.size) - (np.cumsum(count) - count)[pair_group]
+    joint = np.full((k, count.max(initial=0)), m - mi)
+    joint[pair_group, slot] = pairs % m
+    return entries, slot[pair_of], joint
+
+
 # Fixed price of one LAPACK call in _blocks_pay's flop count, from a sweep
 # of spherical chains of 2 to 40 bodies (numpy 2.4, OpenBLAS, one thread):
 # with it the rule switches to blocks where the two paths measure even, at
@@ -254,23 +400,51 @@ def _blocks_pay(sys, groups):
     """Whether the block elimination of the mp Newton matrix beats one dense
     solve, by an operation count with a fixed price per LAPACK call.
 
-    Dense: one LU of size n + m. Blocks: one batched inverse per group
-    size, the Schur complement on the mj = m - m_internal joint multipliers
-    with e = n + m_internal eliminated unknowns, and its LU.
+    Dense: one LU of size n + m. Blocks: per group size, one batched
+    inverse of the (s, s) saddle blocks and the coupling products
+    A_g^-1 B_g and C_g (A_g^-1 B_g) over the wj joint rows of _joint_slots;
+    then the LU of the Schur system on the mj = m - m_internal joint
+    multipliers. The coupling products need the joint slots, so they are
+    counted only while the rest leaves blocks the cheaper.
     """
-    e = sys.n + sys.m_internal
     mj = sys.m - sys.m_internal
     dense = 2.0 / 3.0 * (sys.n + sys.m) ** 3 + LAPACK_CALL_FLOPS
-    blocks = (sum(2.0 * len(vel) * (vel.shape[1] + mult.shape[1]) ** 3 + LAPACK_CALL_FLOPS
-                  for vel, mult in groups)
-              + 2.0 * e * mj * (mj + 1) + 2.0 / 3.0 * mj ** 3 + LAPACK_CALL_FLOPS)
-    return blocks < dense
+    cost = 2.0 / 3.0 * mj ** 3 + LAPACK_CALL_FLOPS + sum(
+        2.0 * len(vel) * (vel.shape[1] + mult.shape[1]) ** 3 + LAPACK_CALL_FLOPS
+        for vel, mult in groups)
+    for vel, mult in groups:
+        if cost >= dense:
+            break
+        (k, nv), s = vel.shape, vel.shape[1] + mult.shape[1]
+        group = np.full(sys.n, -1)
+        group[vel] = np.arange(k)[:, None]
+        wj = _joint_slots(sys, group)[2].shape[1]
+        cost += 2.0 * k * nv * wj * (s + wj)
+    return cost < dense
 
 
-def _hessian_times(sys, x):
-    """H x, shape (m, n): entry (i, a) is sum_b H[i, a, b] x[b]."""
-    return np.bincount(sys._H_ia, sys._H_values * x[sys._H_b],
-                       minlength=sys.m * sys.n).reshape(sys.m, sys.n)
+def _slope_values(sys, x):
+    """H x on the pattern of G: the values of D(x), or of G(x) - G0."""
+    return np.bincount(sys._H_in_G, sys._H_values * x[sys._H_b],
+                       minlength=sys._G_pattern.flat.size)
+
+
+def _jacobian_values(sys, q):
+    """G(q) = G0 + H q on its pattern."""
+    return sys._G0_values + _slope_values(sys, q)
+
+
+def _contraction_values(sys, lam):
+    """K(lambda) = sum_i lam_i H_i on its pattern."""
+    return np.bincount(sys._H_in_K, sys._H_values * lam[sys._H_rows],
+                       minlength=sys._K_pattern.flat.size)
+
+
+def _constraint_values(sys, q):
+    """g(q) and G(q) on its pattern: g = g0 + (G0 + (H q) / 2) q."""
+    Hq = _slope_values(sys, q)
+    g = sys._g0 + sys._G_pattern.times(sys._G0_values + 0.5 * Hq, q)
+    return g, sys._G0_values + Hq
 
 
 def stack_constraints(sys, q):
@@ -280,13 +454,11 @@ def stack_constraints(sys, q):
     joint rows in declaration order. Every row is quadratic in q, so
     G(q) = G0 + H q and g(q) = g0 + G0 q + (H q) q / 2, both exact, from
     the constants g0 = g(0), G0 = G(0) and the sparse Hessian H fixed at
-    construction. Ground pairs contribute columns only for their real body.
+    construction; G is the dense scatter of its pattern values. Ground
+    pairs contribute columns only for their real body.
     """
-    q = np.asarray(q, dtype=float)
-    Hq = _hessian_times(sys, q)
-    g = sys._g0 + sys._G0 @ q + 0.5 * (Hq @ q)
-    Hq += sys._G0
-    return g, Hq
+    g, G = _constraint_values(sys, np.asarray(q, dtype=float))
+    return g, sys._G_pattern.dense(G)
 
 
 def constraint_velocity_gradient(sys, v):
@@ -296,7 +468,7 @@ def constraint_velocity_gradient(sys, v):
     D(v) = H v, entry (i, a) = sum_b H[i, a, b] v[b], which is exact since
     each H[i] is symmetric; it equals G(v) - G0.
     """
-    return _hessian_times(sys, np.asarray(v, dtype=float))
+    return sys._G_pattern.dense(_slope_values(sys, np.asarray(v, dtype=float)))
 
 
 def constraint_hessian_contraction(sys, lam):
@@ -304,9 +476,7 @@ def constraint_hessian_contraction(sys, lam):
 
     Shape (n, n), accumulated from the nonzeros of H only.
     """
-    lam = np.asarray(lam, dtype=float)
-    return np.bincount(sys._H_ab, sys._H_values * lam[sys._H_rows],
-                       minlength=sys.n * sys.n).reshape(sys.n, sys.n)
+    return sys._K_pattern.dense(_contraction_values(sys, np.asarray(lam, dtype=float)))
 
 
 def potential(sys, q):
@@ -346,39 +516,71 @@ def input_assembly(sys, q, t):
     return f
 
 
-def input_map_jacobian(sys, q, t):
-    """Configuration derivative of input_assembly, shape (n, n).
+# hat is linear: hat(a) = sum_i a_i hat(e_i)
+_HAT_BASIS = np.stack([hat(e) for e in np.eye(3)]).reshape(3, 9)
+
+
+def _hats(a):
+    """directors.hat of each 3-vector of a stack a, shape (..., 3, 3)."""
+    return (a @ _HAT_BASIS).reshape(a.shape + (3,))
+
+
+def _input_map_blocks(sys, q, t):
+    """Configuration derivative of each load's generalized force, shape
+    (loads, 12, 12): the block on the rows and columns of its body.
 
     The wrench map is linear in the directors through both the moment arm
-    and the director distribution, so each loaded body contributes a 12x12
-    block affine in q.
+    r = r_material d and the director distribution, so each block is
+    affine in q; with c = r x F + tau, director block (i, j) is
+    (r_material[j] hat(d_i) hat(F) + [i == j] hat(c)) / 2.
     """
-    W = np.zeros((sys.n, sys.n))
-    for load in sys.loads:
-        u = np.asarray(load.wrench(t), dtype=float)
-        F, tau = u[:3], u[3:]
-        qk = sys.body_config(q, load.body)
-        d = qk[3:].reshape(3, 3)
-        r = load.r_material @ d
-        c_hat = hat(np.cross(r, F) + tau)
-        F_hat = hat(F)
-        b0 = 12 * load.body
-        for i in range(3):
-            di_hat = hat(d[i])
-            rows = slice(b0 + 3 + 3 * i, b0 + 6 + 3 * i)
-            for j in range(3):
-                cols = slice(b0 + 3 + 3 * j, b0 + 6 + 3 * j)
-                block = 0.5 * load.r_material[j] * (di_hat @ F_hat)
-                if i == j:
-                    block = block + 0.5 * c_hat
-                W[rows, cols] += block
+    u = np.array([load.wrench(t) for load in sys.loads], dtype=float).reshape(-1, 6)
+    F, tau = u[:, :3], u[:, 3:]
+    d = np.asarray(q, dtype=float).reshape(-1, 12)[sys._load_bodies, 3:].reshape(-1, 3, 3)
+    arm = sys._load_arms
+    r = (arm[:, :, None] * d).sum(axis=1)
+    c = (_hats(r) @ F[:, :, None])[..., 0] + tau
+    # blocks[l, i, :, j, :] is director block (i, j) of load l
+    dF = _hats(d) @ _hats(F)[:, None]
+    blocks = (0.5 * arm[:, None, None, :, None]) * dF[:, :, :, None, :]
+    W = np.zeros((len(sys.loads), 12, 12))
+    W[:, 3:, 3:] = blocks.reshape(-1, 9, 9)
+    half_c = 0.5 * _hats(c)
+    for i in range(3, 12, 3):
+        W[:, i:i + 3, i:i + 3] += half_c
     return W
 
 
+def _add_load_blocks(sys, A, W, scale=1.0):
+    """A += scale * W on the body blocks of the loads, for a dense (n, n) A
+    and W from _input_map_blocks."""
+    for body, block in zip(sys._load_bodies, W):
+        rows = slice(12 * body, 12 * body + 12)
+        A[rows, rows] += scale * block
+    return A
+
+
+def _load_blocks_times(sys, W, x):
+    """(sum of the loads' blocks W) x, shape (n,)."""
+    y = np.zeros(sys.n)
+    for body, block in zip(sys._load_bodies, W):
+        rows = slice(12 * body, 12 * body + 12)
+        y[rows] += block @ x[rows]
+    return y
+
+
+def input_map_jacobian(sys, q, t):
+    """Configuration derivative of input_assembly, shape (n, n): the dense
+    scatter of the loads' 12x12 blocks (_input_map_blocks)."""
+    return _add_load_blocks(sys, np.zeros((sys.n, sys.n)), _input_map_blocks(sys, q, t))
+
+
 def consistency(sys, q, v):
-    """Constraint satisfaction measures (max |g|, max |G v|)."""
-    g, G = stack_constraints(sys, q)
-    return float(np.abs(g).max()), float(np.abs(G @ v).max())
+    """Constraint satisfaction measures (max |g|, max |G v|), from the
+    pattern values of G."""
+    g, G = _constraint_values(sys, np.asarray(q, dtype=float))
+    Gv = sys._G_pattern.times(G, np.asarray(v, dtype=float))
+    return float(np.abs(g).max()), float(np.abs(Gv).max())
 
 
 def _assemble_skew(blocks, sizes):
@@ -449,14 +651,16 @@ def ggl_operators(sys, q, v, lam, gamma):
 def port_flow(sys, G, v, lam, force, gamma=None, D=None):
     """Flow (w, p) of the system at a point x = (q, v, lam[, gamma]).
 
-    G = G(q), D = D(v) and force = f - grad V(q), with f the applied
-    force of the loads, come from the caller. With the operators of
-    ggl_operators at x and B u = (0, f, 0, G M^-1 f), J z + B u is
-    (w, p, G w, D w + G M^-1 p): w = v + M^-1 G^T gamma is the configuration
-    rate and the collocated output, p = force - G^T lam - D^T gamma the
-    momentum rate. Without gamma (ph_operators, B u = (0, f, 0)) w = v,
-    D is unused and J z + B u is (v, p, G v).
+    G and D are the values of G(q) and D(v) on the pattern of G
+    (_jacobian_values, _slope_values), and force = f - grad V(q), with f
+    the applied force of the loads; all come from the caller. With the
+    operators of ggl_operators at x and B u = (0, f, 0, G M^-1 f),
+    J z + B u is (w, p, G w, D w + G M^-1 p): w = v + M^-1 G^T gamma is the
+    configuration rate and the collocated output, p = force - G^T lam -
+    D^T gamma the momentum rate. Without gamma (ph_operators,
+    B u = (0, f, 0)) w = v, D is unused and J z + B u is (v, p, G v).
     """
+    GT = sys._G_pattern.transpose_times
     if gamma is None:
-        return v, force - G.T @ lam
-    return v + sys.mass_diag_inv * (G.T @ gamma), force - G.T @ lam - D.T @ gamma
+        return v, force - GT(G, lam)
+    return v + sys.mass_diag_inv * GT(G, gamma), force - GT(G, lam) - GT(D, gamma)

@@ -12,9 +12,8 @@ import dataclasses
 
 import numpy as np
 
-from .assembly import (consistency, constraint_velocity_gradient, hamiltonian,
-                       input_assembly, port_flow, potential, stack_constraints,
-                       total_angular_momentum)
+from .assembly import (_jacobian_values, _slope_values, consistency, hamiltonian,
+                       input_assembly, port_flow, potential, total_angular_momentum)
 
 __all__ = [
     "DiagnosticsReport",
@@ -84,9 +83,9 @@ def _collocated_flow(sys, traj, i):
     v_mid = 0.5 * (traj.v[i] + traj.v[i + 1])
     f = input_assembly(sys, q_mid, traj.t[i] + 0.5 * traj.h)
     force = f - potential(sys, q_mid)[1]
-    _, G = stack_constraints(sys, q_mid)
+    G = _jacobian_values(sys, q_mid)
     gamma = None if traj.gamma is None else traj.gamma[i + 1]
-    D = None if gamma is None else constraint_velocity_gradient(sys, v_mid)
+    D = None if gamma is None else _slope_values(sys, v_mid)
     w, _ = port_flow(sys, G, v_mid, traj.lam[i + 1], force, gamma, D)
     return w, f
 

@@ -21,7 +21,10 @@ constraint Jacobian, at most cubic in the augmented scheme), so the
 analytic Newton matrices assemble from the constraint constants fixed when
 the system is built (see phmbd.assembly): G(q) = G0 + H q, the slope
 D(v) = H v of G(q) v, and the contraction K(lambda) = sum_i lambda_i H_i
-of the sparse constant Hessian H.
+of the sparse constant Hessian H. Each is evaluated as its values on a
+sparsity pattern fixed at assembly; the residuals' products G w and
+G^T lambda use those values directly, and only a dense Newton matrix
+scatters them into dense arrays.
 
 The plain scheme's position update is linear and its mass matrix constant
 and diagonal, so each of its Newton iterations eliminates q_next and
@@ -30,12 +33,13 @@ solves a system of size n + m in (v_next, lambda_mid) instead of 2n + m
 bodies the constraint Hessians couple, tied together only by the joint
 multipliers. Where an operation count fixed at assembly says it pays
 (larger systems of small groups, such as spherical chains of five bodies
-or more), the blocks are eliminated group by group and the joint
-multipliers solve a Schur system; otherwise the system is solved by one
-dense LU. The augmented scheme solves its full (2n + 2m) Newton matrix,
-the chain rule through (w, p) (_ggl_matrix). midpoint_jacobian is the
-full plain-scheme matrix, kept as the reference the reduced update is
-tested against.
+or more), the pattern values are scattered straight into the groups'
+saddle and coupling blocks, the blocks are eliminated group by group and
+the joint multipliers solve a Schur system, with no (n, n) or (m, n)
+array formed; otherwise the system is solved by one dense LU. The
+augmented scheme solves its full (2n + 2m) Newton matrix, the chain rule
+through (w, p) (_ggl_matrix). midpoint_jacobian is the full plain-scheme
+matrix, kept as the reference the reduced update is tested against.
 """
 from __future__ import annotations
 
@@ -45,6 +49,12 @@ import numpy as np
 
 from .assembly import (
     SystemState,
+    _add_load_blocks,
+    _contraction_values,
+    _input_map_blocks,
+    _jacobian_values,
+    _load_blocks_times,
+    _slope_values,
     constraint_hessian_contraction,
     constraint_velocity_gradient,
     hamiltonian,
@@ -168,20 +178,29 @@ def midpoint_linearization(sys, state, y, h, out=None):
     update; the update is built only when called. It raises
     np.linalg.LinAlgError when the reduced matrix is singular.
 
-    The system is solved in one of two ways, chosen once per system when
-    it is assembled (MultibodySystem._newton_blocks): by one dense LU of
-    the assembled matrix, or, when an operation count says it is cheaper,
-    by eliminating the saddle block of each group of Hessian-coupled
-    bodies and solving a Schur system on the joint multipliers
-    (_block_solve), without assembling the matrix. Both use exactly one
-    np.linalg.solve.
+    K, D and G enter as their values on the patterns fixed at assembly
+    and W as one 12x12 block per load; the right-hand side takes their
+    products with r_q from those values. The system is then solved in one
+    of two ways, chosen once per system when it is assembled
+    (MultibodySystem._newton_blocks): by one dense LU of the matrix
+    scattered from those values, or, when an operation count says it is
+    cheaper, group by group (_block_solve): the values are scattered
+    straight into each group's saddle block and its coupling blocks to the
+    joint rows, held in buffers kept with the system, each size of group
+    takes one batched inverse, and the Schur system on the joint
+    multipliers is summed from the groups' small products. Both use
+    exactly one np.linalg.solve.
 
     out, if given, is an (n + m, n + m) array the reduced matrix is
     assembled in on the dense path, overwriting it; the block path does not
     use it. step passes one such array to every Newton iteration of a
-    step. A fresh matrix above glibc's mmap threshold is page-faulted in on
-    every fill: on a 24-body chain solved densely (a 2 MB matrix, 2-vCPU
-    Xeon VM, glibc 2.36) reusing it cut the step time by a third.
+    step. A fresh array above glibc's mmap threshold (128 kB) is
+    page-faulted in on every fill: on a 24-body chain solved densely (a
+    2 MB matrix, 2-vCPU Xeon VM, glibc 2.36) reusing it cut the step time
+    by a third. The block path builds no (n, n), (m, n) or (n, mj) array
+    and reuses its group buffers; on the same chain it takes no minor page
+    faults per step, against ~1700 when it gathered its blocks from the
+    dense K(lambda), G and D.
     """
     n = sys.n
     lam = y[2 * n:]
@@ -192,17 +211,25 @@ def midpoint_linearization(sys, state, y, h, out=None):
 
     def update():
         r_q, r_v, r_l = r[:n], r[n:2 * n], r[2 * n:]
-        KW = constraint_hessian_contraction(sys, lam)
+        Gp, Kp = sys._G_pattern, sys._K_pattern
+        K = _contraction_values(sys, lam)
+        KWr = Kp.times(K, r_q)
+        W = None
         if sys.loads:
-            KW -= input_map_jacobian(sys, qm, tm)
+            W = _input_map_blocks(sys, qm, tm)
+            KWr -= _load_blocks_times(sys, W, r_q)
         # D is linear in v, so this is (h/2) D(v_mid)
-        hD = constraint_velocity_gradient(sys, (0.5 * h) * vm)
-        b = np.concatenate([(0.5 * h) * (KW @ r_q) - r_v, hD @ r_q - r_l])
-        hD += G  # G(q_mid + h v_mid / 2)
+        hD = _slope_values(sys, (0.5 * h) * vm)
+        b = np.concatenate([(0.5 * h) * KWr - r_v, Gp.times(hD, r_q) - r_l])
+        Gs = G + hD  # G(q_mid + h v_mid / 2)
         if sys._newton_blocks is None:
-            x = np.linalg.solve(_reduced_matrix(sys, h, KW, G, hD, out), b)
+            KW = Kp.dense(K)
+            if W is not None:
+                _add_load_blocks(sys, KW, W, -1.0)
+            x = np.linalg.solve(
+                _reduced_matrix(sys, h, KW, Gp.dense(G), Gp.dense(Gs), out), b)
         else:
-            x = _block_solve(sys, sys._newton_blocks, h, KW, G, hD, b)
+            x = _block_solve(sys, sys._newton_blocks, h, K, G, Gs, W, b)
         dv = x[:n]
         return np.concatenate([(0.5 * h) * dv - r_q, dv, x[n:]])
 
@@ -212,7 +239,8 @@ def midpoint_linearization(sys, state, y, h, out=None):
 def _reduced_matrix(sys, h, KW, G, Gs, out=None):
     """The (n + m) matrix of midpoint_linearization, assembled in out.
 
-    KW = K(lambda) - W, G = G(q_mid) and Gs = G(q_mid + h v_mid / 2).
+    KW = K(lambda) - W, G = G(q_mid) and Gs = G(q_mid + h v_mid / 2), all
+    dense.
     """
     n, m = sys.n, sys.m
     A = np.empty((n + m, n + m)) if out is None else out
@@ -225,54 +253,62 @@ def _reduced_matrix(sys, h, KW, G, Gs, out=None):
     return A
 
 
-def _block_solve(sys, groups, h, KW, G, Gs, b):
-    """Solve _reduced_matrix(sys, h, KW, G, Gs) x = b group by group.
+def _block_solve(sys, blocks, h, K, G, Gs, W, b):
+    """Solve _reduced_matrix(sys, h, K - W, G, Gs) x = b group by group.
 
-    groups is a body grouping from assembly._newton_groups: no entry of K,
-    W or an orthonormality row couples two groups, so ordering each group's
-    velocities and orthonormality multipliers together makes the matrix
+    blocks are the assembly._GroupBlocks of the system's Newton groups: no
+    entry of K, W or an orthonormality row couples two groups, so ordering
+    each group's velocities and orthonormality multipliers together makes
+    the matrix
 
-        [E  B]    E block-diagonal with one saddle block
-        [C  0]    [[M + (h^2/4)(K - W), h G_int^T], [(h/2) Gs_int, 0]]
-                  per group, B = h G_joint^T and C = (h/2) Gs_joint
+        [E  B]    E block-diagonal with one saddle block A_g per group,
+        [C  0]    B = h G_joint^T and C = (h/2) Gs_joint
 
-    with B and C nonzero only in velocity rows and columns. Each size of
-    group takes one batched inverse of its saddle blocks, which pivots
-    across the velocity and multiplier rows: inverting the velocity block
-    alone loses digits when a body has near-zero Euler values. The joint
-    multipliers then solve the Schur system (C E^-1 B) x_j = C E^-1 b_e - b_j
-    with one np.linalg.solve, and x_e = E^-1 (b_e - B x_j). Raises
+    with B and C nonzero only in velocity rows and columns. K, G and Gs are
+    values on the system's patterns and W the loads' 12x12 blocks (None
+    without loads); each is scattered straight into the group buffers,
+    without forming a dense matrix. Each size of group takes one batched
+    inverse of its saddle blocks, which pivots across the velocity and
+    multiplier rows: inverting the velocity block alone loses digits when a
+    body has near-zero Euler values. The joint multipliers then solve the
+    Schur system (sum_g C_g A_g^-1 B_g) x_j = sum_g C_g A_g^-1 b_g - b_j,
+    accumulated from the groups' (wj, wj) products, with one
+    np.linalg.solve, and x_g = A_g^-1 b_g - (A_g^-1 B_g) x_j. Raises
     np.linalg.LinAlgError when a saddle block or the Schur system is
     singular.
     """
     n, mi = sys.n, sys.m_internal
-    e = n + mi
-    BT = h * G[mi:].T  # (n, mj)
-    C = (0.5 * h) * Gs[mi:]  # (mj, n)
-    EB = np.empty(BT.shape)  # velocity rows of E^-1 B; C has no others
-    Eb = np.empty(e)
-    inverses = []
-    for vel, mult in groups:
-        nv = vel.shape[1]
-        rows, cols = mult[:, :, None], vel[:, None, :]
-        A = np.empty((len(vel), nv + mult.shape[1], nv + mult.shape[1]))
-        np.multiply(KW[vel[:, :, None], cols], 0.25 * h * h, out=A[:, :nv, :nv])
+    mj = sys.m - mi
+    c = 0.25 * h * h
+    S = np.zeros(mj * mj + 1)  # the last bin takes the padding
+    rhs = np.zeros(mj + 1)
+    parts = []
+    for blk in blocks:
+        nv, A = blk.nv, blk.A
+        A.fill(0.0)
+        A.ravel()[blk.K_at] = c * K[blk.K_entries]
+        for load, g, at in blk.loads:
+            A[g, at:at + 12, at:at + 12] -= c * W[load]
         diag = np.arange(nv)
-        A[:, diag, diag] += sys.mass_diag[vel]
-        np.multiply(G[rows, cols].transpose(0, 2, 1), h, out=A[:, :nv, nv:])
-        np.multiply(Gs[rows, cols], 0.5 * h, out=A[:, nv:, :nv])
-        A[:, nv:, nv:] = 0.0
+        A[:, diag, diag] += blk.mass
+        A.ravel()[blk.GT_at] = h * G[blk.G_int]
+        A.ravel()[blk.Gs_at] = (0.5 * h) * Gs[blk.G_int]
+        blk.B.ravel()[blk.B_at] = h * G[blk.G_joint]
+        blk.C.ravel()[blk.C_at] = (0.5 * h) * Gs[blk.G_joint]
         inv = np.linalg.inv(A)
-        idx = np.concatenate([vel, n + mult], axis=1)
-        EB[vel] = inv[:, :nv, :nv] @ BT[vel]
-        Eb[idx] = (inv @ b[idx, None])[..., 0]
-        inverses.append((idx, inv))
+        EB = inv[:, :, :nv] @ blk.B
+        Eb = inv @ b[blk.idx, None]
+        S += np.bincount(blk.schur_at.ravel(), (blk.C @ EB[:, :nv]).ravel(),
+                         minlength=S.size)
+        rhs += np.bincount(blk.joint.ravel(), (blk.C @ Eb[:, :nv]).ravel(),
+                           minlength=rhs.size)
+        parts.append((blk, EB, Eb))
+    xj = np.zeros(mj + 1)  # xj[mj] = 0 is the padding
+    xj[:mj] = np.linalg.solve(S[:-1].reshape(mj, mj), rhs[:-1] - b[n + mi:])
     x = np.empty(b.size)
-    x[e:] = xj = np.linalg.solve(C @ EB, C @ Eb[:n] - b[e:])
-    z = b[:e].copy()
-    z[:n] -= BT @ xj
-    for idx, inv in inverses:
-        x[idx] = (inv @ z[idx, None])[..., 0]
+    x[n + mi:] = xj[:mj]
+    for blk, EB, Eb in parts:
+        x[blk.idx] = (Eb - EB @ xj[blk.joint, None])[..., 0]
     return x
 
 
@@ -327,6 +363,7 @@ def ggl_jacobian(sys, state, y, h, out=None):
 def _midpoint_flow(sys, state, y, h):
     """(q_mid, v_mid, G(q_mid), D(v_mid), w, p) of one step at y.
 
+    G and D are values on the pattern of G (see assembly.port_flow), and
     (w, p) is the flow of assembly.port_flow at the interval midpoint,
     with the multipliers of y: (q_next, v_next, lambda_mid) for the plain
     scheme, where D is not needed and is None, and (..., gamma_mid) for the
@@ -336,13 +373,13 @@ def _midpoint_flow(sys, state, y, h):
     n, m = sys.n, sys.m
     qm = 0.5 * (state.q + y[:n])
     vm = 0.5 * (state.v + y[n:2 * n])
-    _, G = stack_constraints(sys, qm)
+    G = _jacobian_values(sys, qm)
     force = -potential(sys, qm)[1]
     if sys.loads:
         force += input_assembly(sys, qm, state.t + 0.5 * h)
     if y.size == 2 * n + m:
         return (qm, vm, G, None) + port_flow(sys, G, vm, y[2 * n:], force)
-    D = constraint_velocity_gradient(sys, vm)
+    D = _slope_values(sys, vm)
     return (qm, vm, G, D) + port_flow(sys, G, vm, y[2 * n:2 * n + m], force,
                                       y[2 * n + m:], D)
 
@@ -352,11 +389,12 @@ def _residual(sys, state, y, h, mid):
     the _midpoint_flow terms mid; the last block for the augmented scheme."""
     n = sys.n
     _, _, G, D, w, p = mid
+    times = sys._G_pattern.times
     rows = [(y[:n] - state.q) - h * w,
             sys.mass_diag * (y[n:2 * n] - state.v) - h * p,
-            h * (G @ w)]
+            h * times(G, w)]
     if D is not None:
-        rows.append(h * (D @ w + G @ (sys.mass_diag_inv * p)))
+        rows.append(h * (times(D, w) + times(G, sys.mass_diag_inv * p)))
     return np.concatenate(rows)
 
 
@@ -386,6 +424,7 @@ def _ggl_matrix(sys, state, y, h, mid, out=None):
     """
     n, m = sys.n, sys.m
     qm, _, G, D, w, p = mid
+    G, D = sys._G_pattern.dense(G), sys._G_pattern.dense(D)
     Minv = sys.mass_diag_inv
     K_gam = constraint_hessian_contraction(sys, y[2 * n + m:])
     KW = constraint_hessian_contraction(sys, y[2 * n:2 * n + m])

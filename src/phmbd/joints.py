@@ -257,15 +257,11 @@ def residual(joint, q_a, q_b):
 
 
 def _gap_rows(joint):
-    """Jacobian of the anchor gap, 3 x 24, constant in q."""
-    eye = np.eye(3)
-    J = np.zeros((3, 24))
-    J[:, 0:3] = -eye
-    J[:, 12:15] = eye
-    for i in range(3):
-        J[:, 3 + 3 * i:6 + 3 * i] = -joint.X_a[i] * eye
-        J[:, 15 + 3 * i:18 + 3 * i] = joint.X_b[i] * eye
-    return J
+    """Jacobian of the anchor gap, 3 x 24, constant in q: the identity
+    times -1, -X_a, 1 and X_b over the 3-blocks (phi, d1, d2, d3) of
+    body a, then of body b."""
+    scale = np.concatenate([[-1.0], -joint.X_a, [1.0], joint.X_b])
+    return (scale[:, None, None] * np.eye(3)).transpose(1, 0, 2).reshape(3, 24)
 
 
 def _translation_lock_row(joint, c_local, q_a, q_b):

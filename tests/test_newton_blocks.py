@@ -1,19 +1,30 @@
 """Block elimination of the reduced mp Newton matrix.
 
 `assembly._newton_groups` groups the bodies that the constraint Hessians
-couple, `integrate._block_solve` solves the reduced (n + m) midpoint system
-group by group with a Schur system on the joint multipliers, and the system
-takes that path only where an operation count says it beats one dense LU.
-The helpers are called directly, on systems either path would take.
+couple, `assembly._GroupBlocks` maps the kernel's pattern values into
+the blocks of each group size, `integrate._block_solve` solves the reduced (n + m)
+midpoint system group by group with a Schur system on the joint
+multipliers, and the system takes that path only where an operation count
+says it beats one dense LU. The helpers are called directly, on systems
+either path would take.
 """
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from phmbd.assembly import (
+    BodyLoad,
     MultibodySystem,
     SystemState,
+    _GroupBlocks,
+    _contraction_values,
+    _input_map_blocks,
+    _jacobian_values,
     _newton_groups,
+    _slope_values,
+    consistency,
     constraint_hessian_contraction,
     constraint_velocity_gradient,
     input_map_jacobian,
@@ -75,7 +86,10 @@ def _random_iterate(sys, state, h, rng):
 
 
 def _group_sizes(groups):
-    return [(len(vel), vel.shape[1] + mult.shape[1]) for vel, mult in groups]
+    """(groups, unknowns per group) per group size, of the (vel, mult)
+    pairs of _newton_groups or of their _GroupBlocks."""
+    pairs = [(g.vel, g.mult) if isinstance(g, _GroupBlocks) else g for g in groups]
+    return [(len(vel), vel.shape[1] + mult.shape[1]) for vel, mult in pairs]
 
 
 @pytest.mark.parametrize("name, h", [
@@ -101,7 +115,12 @@ def test_block_solve_matches_dense_solve(name, h, request):
     Gs = G + constraint_velocity_gradient(sys, 0.5 * h * vm)
     b = rng.standard_normal(n + sys.m)
 
-    x = _block_solve(sys, _newton_groups(sys), h, KW, G, Gs, b)
+    G_values = _jacobian_values(sys, qm)
+    W = _input_map_blocks(sys, qm, state.t + 0.5 * h) if sys.loads else None
+    blocks = [_GroupBlocks(sys, vel, mult) for vel, mult in _newton_groups(sys)]
+    x = _block_solve(sys, blocks, h,
+                     _contraction_values(sys, y[2 * n:]), G_values,
+                     G_values + _slope_values(sys, 0.5 * h * vm), W, b)
     x_ref = np.linalg.solve(_reduced_matrix(sys, h, KW, G, Gs), b)
     assert np.abs(x - x_ref).max() <= BLOCK_RTOL * np.abs(x_ref).max()
 
@@ -139,7 +158,7 @@ def test_groups_and_path_choice(flying_pair, slider_crank, closed_loop):
 
     sys = _pendulum_chain(24, rng)
     assert _group_sizes(sys._newton_blocks) == [(1, 4 * 18), (4, 5 * 18)]
-    vel, mult = sys._newton_blocks[1]
+    vel, mult = sys._newton_blocks[1].vel, sys._newton_blocks[1].mult
     npt.assert_array_equal(vel[1], np.arange(5 * 12, 10 * 12))
     npt.assert_array_equal(mult[1], np.arange(5 * 6, 10 * 6))
 
@@ -173,3 +192,53 @@ def test_singular_group_block_is_reported():
                           np.concatenate([q + h * v, v, state.lam]))
     assert not result.converged
     assert result.message == "singular Newton matrix"
+
+
+def test_loaded_block_update_matches_full_newton_step():
+    """Loads on two bodies of a spherical chain: their 12x12 blocks W enter
+    the group saddle blocks directly, and the update is still the Newton
+    step of the full (2n + m) midpoint system."""
+    rng = np.random.default_rng(SEED)
+    chain, q = _pendulum_chain_config(6, rng, ("spherical",))
+    loads = [BodyLoad(1, lambda t: np.array([0.3, -0.2, 0.5, 0.1, 0.4, -0.3]) * (1.0 + t),
+                      np.array([0.05, -0.1, 0.2])),
+             BodyLoad(4, lambda t: np.array([-0.6, 0.1, 0.2, -0.2, 0.05, 0.3]) * np.cos(t),
+                      np.array([-0.1, 0.02, -0.15]))]
+    sys = MultibodySystem(chain.bodies, chain.joints, loads)
+    assert sys._newton_blocks is not None
+    state = SystemState(0.3, q, 0.1 * rng.standard_normal(sys.n), np.zeros(sys.m))
+    h = 0.01
+    y = _random_iterate(sys, state, h, rng)
+    r, update = midpoint_linearization(sys, state, y, h)
+    dy_full = np.linalg.solve(midpoint_jacobian(sys, state, y, h), -r)
+    assert np.abs(update() - dy_full).max() <= BLOCK_RTOL * np.abs(dy_full).max()
+
+
+# Bounds on the peak traced allocations of one mp Newton update and of one
+# consistency check on a 24-body spherical chain (n = 288, m = 218), where
+# a dense (n, n) K(lambda) takes 660 kB and a dense (m, n) G(q) 500 kB.
+UPDATE_ALLOCATION_BOUND = 512 * 1024
+CONSISTENCY_ALLOCATION_BOUND = 128 * 1024
+
+
+def _traced_peak(fn):
+    fn()  # first call outside the trace
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_update_and_consistency_allocate_no_dense_matrix():
+    rng = np.random.default_rng(SEED)
+    sys, state = _chain_state(24, rng, ("spherical",))
+    assert sys._newton_blocks is not None
+    h = 0.01
+    y = _random_iterate(sys, state, h, rng)
+    assert sys.n == 288 and sys.m == 218
+    peak = _traced_peak(lambda: midpoint_linearization(sys, state, y, h)[1]())
+    assert peak <= UPDATE_ALLOCATION_BOUND, peak
+    peak = _traced_peak(lambda: consistency(sys, state.q, state.v))
+    assert peak <= CONSISTENCY_ALLOCATION_BOUND, peak
