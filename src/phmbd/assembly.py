@@ -34,12 +34,15 @@ constraint_velocity_gradient and constraint_hessian_contraction scatter
 them into the dense matrices that the dense Newton matrices and the
 operator triples need.
 
-The per-body and per-pair constraint functions run only at construction.
-Construction also groups the bodies that H couples (_newton_groups) and
-decides once whether the mp Newton update eliminates those groups one by
-one or solves one dense system (_blocks_pay). For the former it builds,
-per group size, the scatter maps from the patterns into the groups'
-blocks (_GroupBlocks).
+The constants of the pair rows are exact: each pair is a table of
+dot-product rows (phmbd.joints), and g0, G0 and H are written from the
+tables directly (_pair_constants), with zeros wherever the tables have
+them. Only the orthonormality rows are probed, once, from the director
+functions. Construction also groups the bodies that H couples
+(_newton_groups) and decides once whether the mp Newton update eliminates
+those groups one by one or solves one dense system (_blocks_pay). For the
+former it builds, per group size, the scatter maps from the patterns into
+the groups' blocks (_GroupBlocks).
 """
 from __future__ import annotations
 
@@ -48,7 +51,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import joints as joints_mod
 # angular_momentum is no longer called here; it stays importable from this
 # module because perfbench/tracer.py wraps it by this name.
 from .directors import (
@@ -216,11 +218,10 @@ def _constant_tensors(sys):
 
     All constraints are quadratic in q, so these three constants give g, G
     and their derivatives everywhere. The orthonormality rows are probed
-    once from the director functions and tiled over the bodies. Each pair
-    gives g0 from its residual and G0 and H from its Jacobian on basis
-    vectors, with the ground pseudo-body held at GROUND_CONFIG. G0 comes
-    back as COO arrays (rows, cols, values) and H as (rows, a, b, values),
-    sorted by row, then a, then b.
+    once from the director functions and tiled over the bodies; the pair
+    rows are exact, from their tables (_pair_constants). G0 comes back as
+    COO arrays (rows, cols, values) and H as (rows, a, b, values), sorted
+    by row, then by the body-local a, then b, body A before body B.
     """
     m, nb = sys.m, len(sys.bodies)
     g0 = np.empty(m)
@@ -234,26 +235,50 @@ def _constant_tensors(sys):
     r, a, b = np.nonzero(H_int)
     H_parts = [(body_rows[:, r].ravel(), body_cols[:, a].ravel(),
                 body_cols[:, b].ravel(), np.tile(H_int[r, a, b], nb))]
-
-    row = sys.m_internal
-    zero12 = np.zeros(12)
-    for joint in sys.joints:
-        cols = body_cols[joint.body_a]
-        if joint.is_ground:
-            g0[row:row + joint.count] = joints_mod.residual(joint, zero12, GROUND_CONFIG)
-            J0, H = _probe_affine(
-                lambda x: joints_mod.jacobian(joint, x, GROUND_CONFIG)[:, :12], 12)
-        else:
-            cols = np.concatenate([cols, body_cols[joint.body_b]])
-            g0[row:row + joint.count] = joints_mod.residual(joint, zero12, zero12)
-            J0, H = _probe_affine(lambda x: joints_mod.jacobian(joint, x[:12], x[12:]), 24)
-        r, a = np.nonzero(J0)
-        G0_parts.append((row + r, cols[a], J0[r, a]))
-        r, a, b = np.nonzero(H)
-        H_parts.append((row + r, cols[a], cols[b], H[r, a, b]))
-        row += joint.count
+    if sys.joints:
+        g0[sys.m_internal:], G0_pairs, H_pairs = _pair_constants(sys)
+        G0_parts.append(G0_pairs)
+        H_parts.append(H_pairs)
     return (g0, tuple(np.concatenate(p) for p in zip(*G0_parts)),
             tuple(np.concatenate(p) for p in zip(*H_parts)))
+
+
+def _pair_constants(sys):
+    """g0 and the nonzeros of G0 and H on the joint rows, from the pairs'
+    row tables (phmbd.joints) in one pass.
+
+    Row r is u . w - c with u = sum_p alpha_p X_p + u0 and
+    w = sum_p beta_p X_p + w0 over the 3-blocks X_p of its two bodies. A
+    ground pair's B blocks are held at GROUND_CONFIG and folded into u0
+    and w0 first. Then, at q = 0, on blocks p, p' and components k, k',
+
+        g0 = u0 . w0 - c,    G0[(p, k)] = alpha_p w0_k + beta_p u0_k,
+        H[(p, k), (p', k')] = (alpha_p beta_p' + beta_p alpha_p') [k == k'],
+
+    exact, and zero wherever the table is.
+    """
+    joints = sys.joints
+    alpha, beta, u0, w0, c = (np.concatenate([getattr(j, key) for j in joints])
+                              for key in ("alpha", "beta", "u0", "w0", "c"))
+    count = [j.count for j in joints]
+    ground = np.repeat([j.is_ground for j in joints], count)
+    ground_blocks = GROUND_CONFIG.reshape(4, 3)
+    u0[ground] += alpha[ground, 4:] @ ground_blocks
+    w0[ground] += beta[ground, 4:] @ ground_blocks
+    alpha[ground, 4:] = beta[ground, 4:] = 0.0
+    # column of each of the 24 coordinates (q_A, q_B) of each row
+    bodies = np.repeat([[j.body_a, j.body_b] for j in joints], count, axis=0)
+    cols = (12 * bodies[:, :, None] + np.arange(12)).reshape(-1, 24)
+    rows = sys.m_internal + np.arange(c.size)
+
+    g0 = (u0 * w0).sum(axis=1) - c
+    G0 = (alpha[:, :, None] * w0[:, None] + beta[:, :, None] * u0[:, None]).reshape(-1, 24)
+    r, a = np.nonzero(G0)
+    G0_part = (rows[r], cols[r, a], G0[r, a])
+    S = alpha[:, :, None] * beta[:, None] + beta[:, :, None] * alpha[:, None]
+    r, p, k, p2 = np.nonzero(np.broadcast_to(S[:, :, None], (c.size, 8, 3, 8)))
+    H_part = (rows[r], cols[r, 3 * p + k], cols[r, 3 * p2 + k], S[r, p, p2])
+    return g0, G0_part, H_part
 
 
 def _newton_groups(sys):
@@ -492,16 +517,25 @@ def hamiltonian(sys, q, v):
     return 0.5 * float(v @ (sys.mass_diag * v)) + V
 
 
+# component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1], indices mod 3
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
+
+
 def total_angular_momentum(sys, q, v):
     """System angular momentum about the inertial origin, shape (3,).
 
     Each body contributes x_k x (M v)_k summed over its four 3-blocks
     (phi, d1, d2, d3); the diagonal mass matrix weights the center-of-mass
     block by the mass and director block i by the Euler value E_i. The
-    per-body sums are grouped as in directors.angular_momentum.
+    per-body sums are grouped as in directors.angular_momentum. The cross
+    products are written out as np.cross evaluates them, without its
+    per-call axis handling; np.take keeps the arrays C-ordered, so the sums
+    round as they do over np.cross's result.
     """
-    L = np.cross(np.asarray(q, dtype=float).reshape(-1, 4, 3),
-                 (sys.mass_diag * np.asarray(v, dtype=float)).reshape(-1, 4, 3))
+    x = np.asarray(q, dtype=float).reshape(-1, 4, 3)
+    p = (sys.mass_diag * np.asarray(v, dtype=float)).reshape(-1, 4, 3)
+    L = (np.take(x, _NEXT, axis=-1) * np.take(p, _PREV, axis=-1)
+         - np.take(x, _PREV, axis=-1) * np.take(p, _NEXT, axis=-1))
     return (L[:, 0] + L[:, 1:].sum(axis=1)).sum(axis=0)
 
 

@@ -33,12 +33,23 @@ def _scenario_options(fn):
     return fn
 
 
+def _fail(message):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(1)
+
+
 def _load(scenario):
     try:
         return load_scenario(scenario)
     except ScenarioError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(exc)
+
+
+def _integrator(scheme, tol, h, t_end):
+    try:
+        return IntegratorConfig(h=h, t_end=t_end, scheme=scheme, newton_tol=tol)
+    except ValueError as exc:
+        _fail(exc)
 
 
 @main.command("simulate")
@@ -51,9 +62,8 @@ def simulate_cmd(scenario, scheme, tol, h, t_end, out):
     """Run one scenario and write the trajectory CSV plus a JSON summary."""
     config = _load(scenario)
     h = config.h if h is None else h
-    t_end = config.t_end if t_end is None else t_end
+    integ = _integrator(scheme, tol, h, config.t_end if t_end is None else t_end)
     system, state0 = build_system(config)
-    integ = IntegratorConfig(h=h, t_end=t_end, scheme=scheme, newton_tol=tol)
 
     started = time.perf_counter()
     traj = simulate(system, state0, integ)
@@ -91,19 +101,17 @@ def converge(scenario, scheme, tol, h_list, ref_h, tbar, out):
     try:
         steps = [float(tok) for tok in h_list.split(",") if tok]
     except ValueError:
-        click.echo("error: --h must be a comma-separated list of numbers", err=True)
-        sys.exit(1)
+        _fail("--h must be a comma-separated list of numbers")
+    ref_integ, *integs = [_integrator(scheme, tol, h, tbar) for h in [ref_h] + steps]
 
-    def run(h):
+    def run(integ):
         system, state0 = build_system(config)
-        return system, simulate(system, state0,
-                                IntegratorConfig(h=h, t_end=tbar, scheme=scheme,
-                                                 newton_tol=tol))
+        return simulate(system, state0, integ)
 
-    _, ref = run(ref_h)
+    ref = run(ref_integ)
     errors = {name: [] for name in ("q", "v", "lam", "H", "L")}
-    for h in steps:
-        _, traj = run(h)
+    for h, integ in zip(steps, integs):
+        traj = run(integ)
         if not traj.completed:
             click.echo(json.dumps({"failure": traj.failure, "h": h}))
             sys.exit(1)
@@ -132,9 +140,8 @@ def init_velocities(scenario):
     joints = {j.type: j for j in config.joints}
     needed = {"revolute", "spherical", "universal", "prismatic"}
     if set(joints) != needed or len(config.joints) != 4 or len(config.bodies) != 3:
-        click.echo("error: scenario does not have the slider-crank layout "
-                   "(revolute + spherical + universal + prismatic, 3 bodies)", err=True)
-        sys.exit(1)
+        _fail("scenario does not have the slider-crank layout "
+              "(revolute + spherical + universal + prismatic, 3 bodies)")
 
     crank = config.bodies[joints["spherical"].body_indices[0]]
     rod = config.bodies[joints["spherical"].body_indices[1]]
@@ -155,8 +162,7 @@ def init_velocities(scenario):
             block_normal=np.asarray(joints["universal"].reference_axis),
             block_axis=np.asarray(joints["prismatic"].reference_axis))
     except ScenarioError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(exc)
 
     block = config.bodies[joints["prismatic"].body_indices[0]]
     deviation = max(

@@ -43,6 +43,7 @@ matrix, kept as the reference the reduced update is tested against.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,9 +107,12 @@ class IntegratorConfig:
         scheme: "mp" for the plain midpoint scheme, "mp-ggl" for the
             velocity-constraint augmented variant (prefixed aliases accepted)
         h: uniform step size
-        t_end: final time, an integer multiple of h
-        newton_tol: infinity-norm residual tolerance of the corrector
-        newton_max_iter: iteration cap of the corrector
+        t_end: final time, a positive integer multiple of h
+        newton_tol: infinity-norm residual tolerance of the corrector,
+            positive
+        newton_max_iter: iteration cap of the corrector, at least 1
+
+    Raises ValueError for values outside these ranges.
     """
 
     h: float
@@ -119,8 +123,23 @@ class IntegratorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", _canonical_scheme(self.scheme))
-        if self.h <= 0.0:
+        if not (math.isfinite(self.h) and self.h > 0.0):
             raise ValueError(f"step size must be positive, got {self.h}")
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0.0):
+            raise ValueError(f"Newton tolerance must be positive, got {self.newton_tol}")
+        if self.newton_max_iter < 1:
+            raise ValueError(f"Newton iteration cap must be at least 1, got {self.newton_max_iter}")
+        steps_f = self.t_end / self.h
+        steps = round(steps_f) if math.isfinite(steps_f) else 0
+        if steps < 1 or abs(steps_f - steps) > 1e-9 * max(1.0, steps):
+            raise ValueError(
+                f"t_end = {self.t_end} is not a positive integer multiple of h = {self.h}"
+            )
+
+    @property
+    def steps(self):
+        """Number of steps of size h up to t_end."""
+        return round(self.t_end / self.h)
 
 
 @dataclass(frozen=True)
@@ -607,12 +626,7 @@ def simulate(sys, state0, config):
     """
     from .assembly import consistency
 
-    steps_f = config.t_end / config.h
-    steps = int(round(steps_f))
-    if steps < 1 or abs(steps_f - steps) > 1e-9 * max(1.0, steps):
-        raise ValueError(
-            f"t_end = {config.t_end} is not a positive integer multiple of h = {config.h}"
-        )
+    steps = config.steps
     n, m = sys.n, sys.m
     scheme = config.scheme
     with_gamma = scheme == "mp-ggl"

@@ -1,13 +1,22 @@
 """Kinematic pairs between director-formulated rigid bodies.
 
-Each pair constrains the relative motion of two bodies A and B through
-algebraic conditions on the anchor offset Delta p = p_B - p_A (both anchors
-materialized from the shared joint location at compile time) and on dot
-products between joint-frame axes of A and directors of B. All residuals
-are quadratic polynomials in the stacked configuration (q_A, q_B), so the
-constraint Jacobian is affine and the Hessians are constant. The assembly
-therefore evaluates `residual` and `jacobian` only when a system is built,
-to read off each pair's value and Jacobian at zero and its Hessians.
+A pair is a table of rows, built once by compile_joint. Every row is one
+dot product of two affine maps of the eight 3-blocks
+X = (phi_A, d_A1, d_A2, d_A3, phi_B, d_B1, d_B2, d_B3) of the stacked
+configuration (q_A, q_B):
+
+    s(x) = u . w - c,    u = sum_p alpha_p X_p + u0,    w = sum_p beta_p X_p + w0.
+
+The anchor gap Delta p = p_B - p_A (both anchors materialized from the
+shared joint location at compile time) has the block weights
+(-1, -X_a, 1, X_b), and an axis a of the A-side joint frame the weights
+a on (d_A1, d_A2, d_A3). The rows are of three kinds: a component of the
+gap (u the gap, w0 a unit vector), a frame axis dotted with the gap, and a
+lock of a frame axis or an A-director against a director of B. residual
+and jacobian are derived from the table for every pair type. Each row is
+quadratic in (q_A, q_B), so its value and gradient at zero and its
+constant Hessian follow from the table exactly; the assembly reads them
+from there (phmbd.assembly).
 
 A pair whose two body indices coincide attaches the body to the ground,
 modeled as a motionless pseudo-body at the origin with identity directors.
@@ -91,9 +100,12 @@ class JointSpec:
 class CompiledJoint:
     """Constraint-ready form of a pair, frozen against the initial state.
 
-    Holds the material anchors X_a, X_b, the A-side joint frame in material
+    The rows are the table alpha, beta (count, 8), u0, w0 (count, 3) and
+    c (count,) of the module docstring. The table is built from the
+    material anchors X_a, X_b, the A-side joint frame in material
     components, which B-directors the rotation or alignment locks act on,
-    and the offset constants that make every lock row vanish at t = 0.
+    and the offset constants that make every lock row vanish at t = 0;
+    these are kept too.
     """
 
     pair_type: str
@@ -103,6 +115,11 @@ class CompiledJoint:
     count: int
     X_a: np.ndarray
     X_b: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    u0: np.ndarray
+    w0: np.ndarray
+    c: np.ndarray
     n_local: np.ndarray | None = None
     m1_local: np.ndarray | None = None
     m2_local: np.ndarray | None = None
@@ -135,6 +152,13 @@ def _check_orthonormal(q, label, tol=1e-6):
         raise JointError(f"{label}: director triad violates orthonormality by {defect:.2e}")
 
 
+def _on_a(axis):
+    """Block weights of axis . (d_A1, d_A2, d_A3)."""
+    weights = np.zeros(8)
+    weights[1:4] = axis
+    return weights
+
+
 def compile_joint(spec, configs):
     """Freeze a JointSpec against the initial body configurations.
 
@@ -145,6 +169,12 @@ def compile_joint(spec, configs):
     revolute pairs the rotation locks default to the first two B-directors;
     a B-director nearly parallel to the joint axis is replaced by the most
     orthogonal remaining ones.
+
+    The rows: spherical, revolute and universal pairs close the anchor gap
+    componentwise, cylindrical and prismatic ones across the axis
+    (m1 . gap, m2 . gap). Then cylindrical and revolute pairs lock
+    n . d_Bj for their two lock_dirs, a universal pair for its one, and a
+    prismatic pair locks d_Ai . d_Bj for (i, j) in _PRISMATIC_LOCKS.
     """
     kind = spec.pair_type
     is_ground = spec.body_a == spec.body_b
@@ -163,6 +193,7 @@ def compile_joint(spec, configs):
     n_local = m1_local = m2_local = None
     lock_dirs: tuple[int, ...] = ()
     offsets: tuple[float, ...] = ()
+    locks = []  # (A-side axis in material components, B-director) per lock
 
     if kind != "spherical":
         if spec.reference_axis is None:
@@ -178,13 +209,26 @@ def compile_joint(spec, configs):
         if alignment[list(lock_dirs)].max() > _ALIGNMENT_LIMIT:
             raise JointError(f"{kind} pair: degenerate rotation lock, axis parallel to B-directors")
         offsets = tuple(n0 @ d_b[j] for j in lock_dirs)
+        locks = [(n_local, j) for j in lock_dirs]
     elif kind == "universal":
         a0 = n_local @ d_a
         j = int(np.argmin(np.abs(d_b @ a0)))
         lock_dirs = (j,)
         offsets = (float(a0 @ d_b[j]),)
+        locks = [(n_local, j)]
     elif kind == "prismatic":
         offsets = tuple(float(d_a[i] @ d_b[j]) for i, j in _PRISMATIC_LOCKS)
+        locks = [(np.eye(3)[i], j) for i, j in _PRISMATIC_LOCKS]
+
+    # rows as (alpha, beta, w0, c); u0 is zero in every row
+    gap = np.concatenate([[-1.0], -X_a, [1.0], X_b])
+    if kind in ("cylindrical", "prismatic"):
+        rows = [(_on_a(axis), gap, np.zeros(3), 0.0) for axis in (m1_local, m2_local)]
+    else:
+        rows = [(gap, np.zeros(8), e, 0.0) for e in np.eye(3)]
+    rows += [(_on_a(axis), np.eye(8)[5 + j], np.zeros(3), offset)
+             for (axis, j), offset in zip(locks, offsets)]
+    alpha, beta, w0, c = (np.array(column) for column in zip(*rows))
 
     return CompiledJoint(
         pair_type=kind,
@@ -194,6 +238,11 @@ def compile_joint(spec, configs):
         count=PAIR_CONSTRAINT_COUNTS[kind],
         X_a=X_a,
         X_b=X_b,
+        alpha=alpha,
+        beta=beta,
+        u0=np.zeros_like(w0),
+        w0=w0,
+        c=c,
         n_local=n_local,
         m1_local=m1_local,
         m2_local=m2_local,
@@ -202,145 +251,25 @@ def compile_joint(spec, configs):
     )
 
 
-def _anchor_gap(joint, q_a, q_b):
-    phi_a, d_a = split_config(q_a)
-    phi_b, d_b = split_config(q_b)
-    return (phi_b + joint.X_b @ d_b) - (phi_a + joint.X_a @ d_a)
+def _factors(joint, q_a, q_b):
+    """u and w of every row of the pair at (q_A, q_B), shape (count, 3) each."""
+    X = np.concatenate([q_a, q_b]).reshape(8, 3)
+    return joint.alpha @ X + joint.u0, joint.beta @ X + joint.w0
 
 
 def residual(joint, q_a, q_b):
-    """Constraint residual of one pair, shape (joint.count,)."""
-    phi_a, d_a = split_config(q_a)
-    phi_b, d_b = split_config(q_b)
-    dp = _anchor_gap(joint, q_a, q_b)
-    kind = joint.pair_type
-
-    if kind == "spherical":
-        return dp.copy()
-
-    if kind == "cylindrical":
-        n = joint.n_local @ d_a
-        m1 = joint.m1_local @ d_a
-        m2 = joint.m2_local @ d_a
-        j1, j2 = joint.lock_dirs
-        return np.array([
-            m1 @ dp,
-            m2 @ dp,
-            n @ d_b[j1] - joint.offsets[0],
-            n @ d_b[j2] - joint.offsets[1],
-        ])
-
-    if kind == "revolute":
-        n = joint.n_local @ d_a
-        j1, j2 = joint.lock_dirs
-        return np.concatenate([
-            dp,
-            [n @ d_b[j1] - joint.offsets[0], n @ d_b[j2] - joint.offsets[1]],
-        ])
-
-    if kind == "universal":
-        a = joint.n_local @ d_a
-        (j,) = joint.lock_dirs
-        return np.concatenate([dp, [a @ d_b[j] - joint.offsets[0]]])
-
-    if kind == "prismatic":
-        m1 = joint.m1_local @ d_a
-        m2 = joint.m2_local @ d_a
-        rows = [m1 @ dp, m2 @ dp]
-        rows += [
-            d_a[i] @ d_b[j] - joint.offsets[k]
-            for k, (i, j) in enumerate(_PRISMATIC_LOCKS)
-        ]
-        return np.array(rows)
-
-    raise AssertionError(f"unhandled pair type {kind}")
-
-
-def _gap_rows(joint):
-    """Jacobian of the anchor gap, 3 x 24, constant in q: the identity
-    times -1, -X_a, 1 and X_b over the 3-blocks (phi, d1, d2, d3) of
-    body a, then of body b."""
-    scale = np.concatenate([[-1.0], -joint.X_a, [1.0], joint.X_b])
-    return (scale[:, None, None] * np.eye(3)).transpose(1, 0, 2).reshape(3, 24)
-
-
-def _translation_lock_row(joint, c_local, q_a, q_b):
-    """Gradient of (c_local . d^A) . Delta p with respect to (q_A, q_B)."""
-    _, d_a = split_config(q_a)
-    dp = _anchor_gap(joint, q_a, q_b)
-    c = c_local @ d_a
-    row = np.zeros(24)
-    row[0:3] = -c
-    row[12:15] = c
-    for i in range(3):
-        row[3 + 3 * i:6 + 3 * i] = c_local[i] * dp - joint.X_a[i] * c
-        row[15 + 3 * i:18 + 3 * i] = joint.X_b[i] * c
-    return row
-
-
-def _rotation_lock_row(a_local, j, q_a, q_b):
-    """Gradient of (a_local . d^A) . d_j^B."""
-    _, d_a = split_config(q_a)
-    _, d_b = split_config(q_b)
-    a = a_local @ d_a
-    row = np.zeros(24)
-    for i in range(3):
-        row[3 + 3 * i:6 + 3 * i] = a_local[i] * d_b[j]
-    row[15 + 3 * j:18 + 3 * j] = a
-    return row
-
-
-def _director_lock_row(i, j, q_a, q_b):
-    """Gradient of d_i^A . d_j^B."""
-    _, d_a = split_config(q_a)
-    _, d_b = split_config(q_b)
-    row = np.zeros(24)
-    row[3 + 3 * i:6 + 3 * i] = d_b[j]
-    row[15 + 3 * j:18 + 3 * j] = d_a[i]
-    return row
+    """Constraint residual of one pair, u . w - c per row, shape (joint.count,)."""
+    u, w = _factors(joint, q_a, q_b)
+    return (u * w).sum(axis=1) - joint.c
 
 
 def jacobian(joint, q_a, q_b):
     """Constraint Jacobian of one pair with respect to (q_A, q_B).
 
     Shape (joint.count, 24), columns ordered as the stacked 12-vectors of
-    body A then body B. For ground pairs the caller discards the B columns.
+    body A then body B: on block p, row r holds alpha[r, p] w_r +
+    beta[r, p] u_r. For ground pairs the caller discards the B columns.
     """
-    kind = joint.pair_type
-
-    if kind == "spherical":
-        return _gap_rows(joint)
-
-    if kind == "cylindrical":
-        j1, j2 = joint.lock_dirs
-        return np.vstack([
-            _translation_lock_row(joint, joint.m1_local, q_a, q_b),
-            _translation_lock_row(joint, joint.m2_local, q_a, q_b),
-            _rotation_lock_row(joint.n_local, j1, q_a, q_b),
-            _rotation_lock_row(joint.n_local, j2, q_a, q_b),
-        ])
-
-    if kind == "revolute":
-        j1, j2 = joint.lock_dirs
-        return np.vstack([
-            _gap_rows(joint),
-            _rotation_lock_row(joint.n_local, j1, q_a, q_b),
-            _rotation_lock_row(joint.n_local, j2, q_a, q_b),
-        ])
-
-    if kind == "universal":
-        (j,) = joint.lock_dirs
-        return np.vstack([
-            _gap_rows(joint),
-            _rotation_lock_row(joint.n_local, j, q_a, q_b),
-        ])
-
-    if kind == "prismatic":
-        rows = [
-            _translation_lock_row(joint, joint.m1_local, q_a, q_b),
-            _translation_lock_row(joint, joint.m2_local, q_a, q_b),
-        ]
-        rows += [_director_lock_row(i, j, q_a, q_b) for i, j in _PRISMATIC_LOCKS]
-        return np.vstack(rows)
-
-    raise AssertionError(f"unhandled pair type {kind}")
+    u, w = _factors(joint, q_a, q_b)
+    J = joint.alpha[:, :, None] * w[:, None] + joint.beta[:, :, None] * u[:, None]
+    return J.reshape(joint.count, 24)

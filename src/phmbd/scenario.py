@@ -252,27 +252,13 @@ def serialize_scenario(config):
     """Inverse of parse_scenario; parse(serialize(c)) == c."""
     doc = {
         "name": config.name,
-        "bodies": [dataclasses.asdict(b) | {"inertias": list(b.inertias)}
-                   for b in config.bodies],
-        "joints": [],
+        "bodies": [dataclasses.asdict(b) for b in config.bodies],
+        "joints": [{key: value for key, value in dataclasses.asdict(j).items()
+                    if value is not None} for j in config.joints],
         "integrator": {"h": config.h, "t_end": config.t_end},
     }
-    for b, raw in zip(config.bodies, doc["bodies"]):
-        for key in ("inertias", "gravity", "dimensions", "initial_position",
-                    "initial_velocity", "multiplier"):
-            raw[key] = list(getattr(b, key))
-    for j in config.joints:
-        entry = {"type": j.type, "body_indices": list(j.body_indices),
-                 "joint_location": list(j.joint_location)}
-        if j.reference_axis is not None:
-            entry["reference_axis"] = list(j.reference_axis)
-        if j.constraints is not None:
-            entry["constraints"] = j.constraints
-        doc["joints"].append(entry)
     if config.loads:
-        doc["loads"] = [dataclasses.asdict(l) | {
-            "force_scale": list(l.force_scale), "torque_scale": list(l.torque_scale)}
-            for l in config.loads]
+        doc["loads"] = [dataclasses.asdict(l) for l in config.loads]
     return json.dumps(doc, indent=2) + "\n"
 
 

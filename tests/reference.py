@@ -1,11 +1,13 @@
 """Independent reference solutions for cross-checking the library.
 
 The constraint kernel is checked against `loop_constraints`, which
-evaluates every body's orthonormality rows and every pair's residual and
-Jacobian at q directly, one by one, instead of through the constants
-g0, G0 and H that the library fixes at assembly. The stacked angular
-momentum is checked against `loop_angular_momentum`, the sum of the
-per-body function.
+evaluates every body's orthonormality rows and every pair's residual at q
+directly, one by one, instead of through the constants g0, G0 and H that
+the library fixes at assembly. The pair residuals are written out per pair
+type here (`pair_residual`), apart from the row tables the library derives
+everything from, and their Jacobian is a central difference with unit
+step, exact for quadratics up to rounding. The stacked angular momentum is
+checked against `loop_angular_momentum`, the sum of the per-body function.
 
 The constrained equations of motion are reduced to an ODE on (q, v) by
 solving the acceleration-level constraint for the multipliers,
@@ -19,7 +21,6 @@ two is evidence for both.
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from phmbd import joints
 from phmbd.assembly import (
     constraint_velocity_gradient,
     input_assembly,
@@ -30,7 +31,44 @@ from phmbd.directors import (
     angular_momentum,
     internal_constraint_gradient,
     internal_constraints,
+    split_config,
 )
+from phmbd.joints import GROUND_CONFIG
+
+# B-director index pairs locked against the A-side frame, per prismatic row
+PRISMATIC_LOCKS = ((0, 1), (1, 2), (2, 0))
+
+
+def pair_residual(joint, q_a, q_b):
+    """Residual of one compiled pair, written out per pair type from its
+    anchors, joint frame, lock directors and offsets."""
+    phi_a, d_a = split_config(q_a)
+    phi_b, d_b = split_config(q_b)
+    dp = (phi_b + joint.X_b @ d_b) - (phi_a + joint.X_a @ d_a)
+    n = joint.n_local @ d_a if joint.n_local is not None else None
+    locks = [n @ d_b[j] - off for j, off in zip(joint.lock_dirs, joint.offsets)]
+    kind = joint.pair_type
+
+    if kind == "spherical":
+        return dp
+    if kind in ("revolute", "universal"):
+        return np.concatenate([dp, locks])
+    across = [(joint.m1_local @ d_a) @ dp, (joint.m2_local @ d_a) @ dp]
+    if kind == "cylindrical":
+        return np.array(across + locks)
+    if kind == "prismatic":
+        return np.array(across + [d_a[i] @ d_b[j] - off
+                                  for (i, j), off in zip(PRISMATIC_LOCKS, joint.offsets)])
+    raise AssertionError(f"unhandled pair type {kind}")
+
+
+def pair_jacobian(joint, x):
+    """d pair_residual / d(q_A, q_B) at x = (q_A, q_B), shape (count, 24),
+    by central differences with unit step."""
+    return np.column_stack([
+        (pair_residual(joint, (x + e)[:12], (x + e)[12:])
+         - pair_residual(joint, (x - e)[:12], (x - e)[12:])) / 2.0
+        for e in np.eye(24)])
 
 
 def loop_constraints(sys, q):
@@ -53,12 +91,12 @@ def loop_constraints(sys, q):
         ca = 12 * joint.body_a
         q_a = q[ca:ca + 12]
         if joint.is_ground:
-            q_b = joints.GROUND_CONFIG
+            q_b = GROUND_CONFIG
         else:
             cb = 12 * joint.body_b
             q_b = q[cb:cb + 12]
-        g[rows] = joints.residual(joint, q_a, q_b)
-        J = joints.jacobian(joint, q_a, q_b)
+        g[rows] = pair_residual(joint, q_a, q_b)
+        J = pair_jacobian(joint, np.concatenate([q_a, q_b]))
         G[rows, ca:ca + 12] = J[:, :12]
         if not joint.is_ground:
             G[rows, cb:cb + 12] = J[:, 12:]

@@ -40,6 +40,32 @@ def test_simulate_writes_csv_and_summary(runner, tmp_path):
     assert doc["summary"]["rows"] == 11
 
 
+@pytest.mark.parametrize("args", [
+    ["--h", "-1"],
+    ["--h", "0.003", "--t-end", "0.01"],
+    ["--tol", "0"],
+])
+def test_simulate_rejects_bad_integrator_input(runner, tmp_path, args):
+    """Bad step, grid or tolerance: one error line, exit 1, no run."""
+    out = tmp_path / "bad.csv"
+    result = runner.invoke(main, ["simulate", "--scenario", "flying_pair",
+                                  "--out", str(out)] + args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_converge_rejects_misaligned_grid(runner):
+    result = runner.invoke(main, [
+        "converge", "--scenario", "flying_pair", "--h", "1e-2,3e-3",
+        "--ref-h", "1e-4", "--tbar", "0.01"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.output
+
+
 def test_simulate_ggl_integrator_flag(runner, tmp_path):
     out = tmp_path / "ggl.csv"
     result = runner.invoke(main, [

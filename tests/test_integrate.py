@@ -43,6 +43,12 @@ def test_config_validation():
         IntegratorConfig(h=-0.1, t_end=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(h=0.1, t_end=1.0, scheme="rk4")
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            IntegratorConfig(h=0.1, t_end=1.0, newton_tol=tol)
+    with pytest.raises(ValueError):
+        IntegratorConfig(h=0.1, t_end=1.0, newton_max_iter=0)
+    assert IntegratorConfig(h=0.1, t_end=1.0, newton_max_iter=1).steps == 10
 
 
 def test_simulate_rejects_misaligned_grid(flying_pair):

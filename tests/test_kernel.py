@@ -56,6 +56,46 @@ def test_kernel_matches_loop_oracle(seed):
                             loop_hessian_contraction(sys, lam)) <= KERNEL_RTOL, label
 
 
+def _hessian_entries(sys):
+    """(row, a, b) of every stored nonzero H[i, a, b]."""
+    K = sys._K_pattern
+    return sys._H_rows, K.row[sys._H_in_K], K.col[sys._H_in_K]
+
+
+def _assert_hessian_structure(sys):
+    """Every entry pairs one spatial component with itself, and no
+    spherical pair has an entry."""
+    rows, a, b = _hessian_entries(sys)
+    assert rows.size and (a % 3 == b % 3).all()
+    start = sys.m_internal + np.cumsum([0] + [j.count for j in sys.joints])
+    for joint, first, stop in zip(sys.joints, start, start[1:]):
+        if joint.pair_type == "spherical":
+            assert not ((rows >= first) & (rows < stop)).any(), joint
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds)
+def test_hessian_structure_of_every_pair(seed):
+    """Each pair type, ground and body-body, at a random compile point."""
+    for kind in PAIR_TYPES:
+        for ground in (False, True):
+            _assert_hessian_structure(_pair_system(kind, seed=seed, ground=ground)[0])
+
+
+def test_hessian_structure_of_bundled_systems(flying_pair, slider_crank, closed_loop):
+    for sys, _ in (flying_pair, slider_crank, closed_loop):
+        _assert_hessian_structure(sys)
+
+
+def test_spherical_chain_hessian_couples_no_bodies():
+    """A revolute pair to ground and spherical pairs below it: H couples
+    no two bodies, so every body is its own Newton group."""
+    sys = _pendulum_chain(24, np.random.default_rng(5), kinds=("spherical",))
+    _assert_hessian_structure(sys)
+    _, a, b = _hessian_entries(sys)
+    npt.assert_array_equal(a // 12, b // 12)
+
+
 def _pendulum_chain(bodies, rng, kinds=PAIR_TYPES):
     """Links of length 0.5 hanging from ground, tilted at random about y.
 
