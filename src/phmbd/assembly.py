@@ -47,6 +47,8 @@ the groups' blocks (_GroupBlocks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -171,6 +173,11 @@ class MultibodySystem:
         groups = _newton_groups(self)
         self._newton_blocks = (tuple(_GroupBlocks(self, vel, mult) for vel, mult in groups)
                                if _blocks_pay(self, groups) else None)
+
+    @cached_property
+    def _augmented_blocks(self):
+        """_AugmentedBlocks of the mp-ggl update, built on first use."""
+        return _AugmentedBlocks(self)
 
     def body_config(self, q, index):
         return q[12 * index:12 * index + 12]
@@ -388,6 +395,65 @@ class _GroupBlocks:
         self.A = np.empty((k, s, s))
         self.B = np.zeros((k, nv, wj))
         self.C = np.zeros((k, wj, nv))
+
+
+class _AugmentedBlocks:
+    """Where the gamma terms of the mp-ggl reduced Newton matrix go.
+
+    That matrix (integrate.midpoint_linearization) is s = n + 2m square,
+    with the unknowns (u, lambda, gamma) at offsets 0, n and n + m. Beyond
+    the plain scheme's blocks it holds a G^T-shaped (u, gamma) block and a
+    G-shaped (gamma, u) block, each on the pattern of G (their entries go to
+    the flat positions GT_at and G_at), minus the four products
+
+        Q = [(h/2) Kg; Gs] M^-1 [(h/2) Kg, 2 G^T],    Kg = K(gamma),
+
+    of matrices on the patterns of K and G. An entry of Q is a sum over the
+    column pairs the two factors share, so with left = [(h/2) Kg; Gs] and
+    right = [(h/2) Kg; 2 G] as stacked pattern values, Q's values are
+
+        bincount(Q_bins, left[Q_left] * right[Q_right] * Q_weight),
+
+    with Q_weight the M^-1 of each pair's shared column, at the flat
+    positions Q_at. No product forms a dense matrix.
+    """
+
+    def __init__(self, sys):
+        n, m = sys.n, sys.m
+        s, gam = n + 2 * m, n + m
+        Kp, Gp = sys._K_pattern, sys._G_pattern
+        self.GT_at = Gp.col * s + gam + Gp.row
+        self.G_at = (gam + Gp.row) * s + Gp.col
+        # each factor's pattern, offset in the stacked values and offset of
+        # its rows in the matrix (K(gamma) is symmetric, so its rows serve
+        # as the columns of the right factor)
+        factors = ((Kp, 0, 0), (Gp, Kp.flat.size, gam))
+        parts = []
+        for (X, x_val, x_at), (Y, y_val, y_at) in product(factors, repeat=2):
+            i, j = _shared_columns(X, Y)
+            parts.append((x_val + i, y_val + j, X.col[i],
+                          (x_at + X.row[i]) * s + y_at + Y.row[j]))
+        left, right, col, at = (np.concatenate(p) for p in zip(*parts))
+        self.Q_left, self.Q_right = left, right
+        self.Q_weight = sys.mass_diag_inv[col]
+        self.Q_at, self.Q_bins = np.unique(at, return_inverse=True)
+
+    def products(self, left, right):
+        """Q's values at Q_at from the stacked pattern values left and right."""
+        return np.bincount(self.Q_bins, left[self.Q_left] * right[self.Q_right] * self.Q_weight,
+                           minlength=self.Q_at.size)
+
+
+def _shared_columns(X, Y):
+    """Every pair (i, j) of an entry i of pattern X and an entry j of
+    pattern Y in the same column."""
+    order = np.argsort(Y.col, kind="stable")
+    start = np.searchsorted(Y.col[order], X.col, "left")
+    count = np.searchsorted(Y.col[order], X.col, "right") - start
+    i = np.repeat(np.arange(X.col.size), count)
+    # position of each pair within its entry i's run of matches
+    k = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+    return i, order[start[i] + k]
 
 
 def _joint_slots(sys, group):

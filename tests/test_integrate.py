@@ -13,7 +13,7 @@ from phmbd.assembly import (
 )
 from phmbd.integrate import (
     SCHEME_ALIASES,
-    _ggl_linearization,
+    _midpoint_start,
     IntegrationError,
     IntegratorConfig,
     ggl_jacobian,
@@ -21,11 +21,13 @@ from phmbd.integrate import (
     midpoint_jacobian,
     midpoint_linearization,
     midpoint_residual,
+    newton_solve,
     simulate,
     step,
 )
 
 from conftest import fd_jacobian
+from test_kernel import _pendulum_chain_config
 
 SEED = 7
 
@@ -106,24 +108,102 @@ def test_ggl_jacobian_matches_fd(flying_pair):
         lambda yy: ggl_residual(sys, state, yy, h), y)
     scale = max(1.0, np.abs(J).max())
     npt.assert_allclose(J / scale, J_fd / scale, atol=1e-6)
-    # a reused work array is overwritten entirely, stale entries included
-    npt.assert_array_equal(ggl_jacobian(sys, state, y, h, out=np.full(J.shape, np.nan)), J)
 
 
-@pytest.mark.parametrize("scenario, h", [("flying_pair", 1e-3), ("closed_loop", 0.1)])
-def test_ggl_linearization_shares_midpoint_terms(scenario, h, request):
-    """The augmented corrector's residual and update, which share one
-    evaluation of the midpoint quantities, are ggl_residual and the dense
-    Newton step with ggl_jacobian, bit for bit."""
-    sys, state = request.getfixturevalue(scenario)
+def _ggl_point(scenario, h, request):
+    """(sys, state, y) for the augmented update. "slider_crank@10" is the
+    corrector's first iterate (_midpoint_start) at step 10 of its own
+    trajectory; "chain6" and "chain24" are pendulum chains whose pairs cycle
+    through all five types (test_kernel._pendulum_chain_config), at a
+    random y near the step; a bundled fixture is taken at a random y."""
+    name, _, at = scenario.partition("@")
     rng = np.random.default_rng(SEED)
+    if name.startswith("chain"):
+        sys, q = _pendulum_chain_config(int(name[5:]), rng)
+        state = SystemState(0.0, q, 0.1 * rng.standard_normal(sys.n), np.zeros(sys.m))
+        # near the step the Newton matrix keeps cond ~1e4; far from it
+        # (cond ~1e7) the full and the reduced solve lose digits alike
+        return sys, state, np.concatenate([q + h * state.v + 1e-3 * rng.standard_normal(sys.n),
+                                           state.v + 0.1 * rng.standard_normal(sys.n),
+                                           0.1 * rng.standard_normal(2 * sys.m)])
+    sys, state = request.getfixturevalue(name)
+    if at:
+        traj = simulate(sys, state, IntegratorConfig(h=h, t_end=int(at) * h,
+                                                     scheme="mp-ggl"))
+        state = SystemState(traj.t[-1], traj.q[-1], traj.v[-1], traj.lam[-1],
+                            traj.gamma[-1])
+        guess = np.concatenate([state.q + h * state.v, state.v, state.lam])
+        return sys, state, _midpoint_start(sys, state, guess, h)[0]
     y = np.concatenate([state.q + h * state.v + 0.01 * rng.standard_normal(sys.n),
                         state.v + rng.standard_normal(sys.n),
                         rng.standard_normal(2 * sys.m)])
-    work = np.full((2 * sys.n + 2 * sys.m,) * 2, np.nan)
-    r, update = _ggl_linearization(sys, state, y, h, work)
+    return sys, state, y
+
+
+@pytest.mark.parametrize("scenario, h", [
+    ("flying_pair", 1e-3),
+    ("closed_loop", 0.1),  # applied load, so the term W
+    ("slider_crank@10", 0.005),  # ground pairs, cond(ggl_jacobian) ~ 3e9
+    ("chain6", 0.01),  # body-body Hessian blocks of every pair type
+    ("chain24", 0.01),  # a system whose plain update takes the block path
+])
+def test_ggl_linearization_shares_midpoint_terms(scenario, h, request):
+    """The augmented corrector's residual, which shares one evaluation of
+    the midpoint quantities with its update, is ggl_residual bit for bit;
+    its update, with q_next and v_next eliminated and the products of
+    K(gamma) and G taken from fixed patterns, is the Newton step of the
+    full (2n + 2m) system with ggl_jacobian."""
+    sys, state, y = _ggl_point(scenario, h, request)
+    r, update = midpoint_linearization(sys, state, y, h)
     npt.assert_array_equal(r, ggl_residual(sys, state, y, h))
-    npt.assert_array_equal(update(), np.linalg.solve(ggl_jacobian(sys, state, y, h), -r))
+    dy = update()
+    dy_full = np.linalg.solve(ggl_jacobian(sys, state, y, h), -r)
+    assert np.abs(dy - dy_full).max() <= 1e-12 * np.abs(dy_full).max()
+    # a reused work array is overwritten entirely, stale entries included
+    work = np.full((sys.n + 2 * sys.m,) * 2, np.nan)
+    npt.assert_array_equal(midpoint_linearization(sys, state, y, h, out=work)[1](), dy)
+
+
+@pytest.mark.parametrize("scenario, h", [
+    ("flying_pair", 1e-3), ("slider_crank", 0.01), ("closed_loop", 0.1)])
+def test_ggl_reduced_system_at_zero_gamma_is_the_midpoint_one(scenario, h, request,
+                                                              monkeypatch):
+    """At gamma = 0 the leading (n + m) block of the augmented reduced
+    system, matrix and right-hand side, is the plain scheme's reduced system
+    (_reduced_matrix) bit for bit, and the lambda rows and column carry
+    nothing else."""
+    sys, state = request.getfixturevalue(scenario)
+    n, m = sys.n, sys.m
+    rng = np.random.default_rng(SEED)
+    y = np.concatenate([state.q + h * state.v + 0.01 * rng.standard_normal(n),
+                        state.v + rng.standard_normal(n),
+                        rng.standard_normal(m)])
+    systems, solve = [], np.linalg.solve
+
+    def recording_solve(A, b):
+        systems.append((A.copy(), b.copy()))
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    midpoint_linearization(sys, state, y, h)[1]()
+    midpoint_linearization(sys, state, np.concatenate([y, np.zeros(m)]), h)[1]()
+    (A, b), (A_ggl, b_ggl) = systems
+    assert A.shape == (n + m, n + m) and A_ggl.shape == (n + 2 * m, n + 2 * m)
+    npt.assert_array_equal(A_ggl[:n + m, :n + m], A)
+    npt.assert_array_equal(b_ggl[:n + m], b)
+    assert not A_ggl[n:n + m, n + m:].any() and not A_ggl[n + m:, n:n + m].any()
+
+
+def test_newton_solve_reports_divergence():
+    """Two growths of the residual norm in a row stop the corrector with
+    "diverged"; a single growth does not."""
+    doubling = newton_solve(lambda x: (x, lambda: x), np.ones(2))
+    assert (doubling.converged, doubling.message) == (False, "diverged")
+    assert (doubling.iterations, doubling.residual_norm) == (2, 4.0)
+    # 1 -> 3 -> 0.5 -> 0
+    steps = iter([2.0, -2.5, -0.5])
+    once = newton_solve(lambda x: (x, lambda: np.full(1, next(steps))), np.ones(1))
+    assert once.converged and once.iterations == 3
 
 
 @pytest.mark.parametrize("scheme", ["mp", "mp-ggl"])
@@ -243,6 +323,18 @@ def test_failure_record_shape(slider_crank):
     assert f["step"] >= 1 and 0 < f["time"] <= 5.0
     assert traj.rows == f["step"]
     assert np.all(np.isfinite(traj.q))
+
+
+@pytest.mark.parametrize("h, at_step", [(0.04, 9), (0.05, 6)])
+def test_ggl_slider_crank_coarse_step_stops_as_diverged(slider_crank, h, at_step):
+    """Above its step-size limit slider_crank mp-ggl stops on the first
+    two consecutive residual growths, while the residual is finite."""
+    sys, state = slider_crank
+    traj = simulate(sys, state, IntegratorConfig(h=h, t_end=10 * h, scheme="mp-ggl"))
+    f = traj.failure
+    assert f["step"] == at_step and f["message"].endswith(
+        f"diverged (residual {f['residual_norm']:.3e} after {f['iterations']} iterations)")
+    assert np.isfinite(f["residual_norm"])
 
 
 def test_step_raises_on_divergence(slider_crank):
