@@ -31,8 +31,16 @@ entries (i, a) of G0 and H for G and D, and the entries (a, b) of H for K,
 each with one np.bincount over H. Products such as G w and G^T lambda, and
 the measures of consistency, work on those values; stack_constraints,
 constraint_velocity_gradient and constraint_hessian_contraction scatter
-them into the dense matrices that the dense Newton matrices and the
-operator triples need.
+them into the dense matrices that the full Newton matrices
+(integrate.midpoint_jacobian, ggl_jacobian) and the operator triples need.
+The reduced Newton matrices that the corrector solves take the values at
+flat positions fixed per system instead, with no dense K, G or D formed.
+
+Each applied load (BodyLoad) is a wrench u = (F, tau) at the arm
+r = r_material d of its body. Its generalized force f = B(q) u and the
+configuration slope W of f, one (9, 9) block on the body's directors, are
+both written from r and the moment c = r x F + tau, for all loads in one
+vectorized pass (input_assembly, _input_map_blocks).
 
 The constants of the pair rows are exact: each pair is a table of
 dot-product rows (phmbd.joints), and g0, G0 and H are written from the
@@ -42,7 +50,9 @@ functions. Construction also groups the bodies that H couples
 (_newton_groups) and decides once whether the mp Newton update eliminates
 those groups one by one or solves one dense system (_blocks_pay). For the
 former it builds, per group size, the scatter maps from the patterns into
-the groups' blocks (_GroupBlocks).
+the groups' blocks (_GroupBlocks); the maps into the dense reduced
+matrices of either scheme are built on first use (_DenseBlocks,
+_AugmentedBlocks).
 """
 from __future__ import annotations
 
@@ -53,8 +63,9 @@ from typing import Callable
 
 import numpy as np
 
-# angular_momentum is no longer called here; it stays importable from this
-# module because perfbench/tracer.py wraps it by this name.
+# angular_momentum and external_wrench_map are no longer called here; they
+# stay importable from this module because perfbench/tracer.py wraps them
+# by these names.
 from .directors import (
     RigidBody,
     angular_momentum,
@@ -151,9 +162,17 @@ class MultibodySystem:
             grad[12 * k:12 * k + 3] = -body.mass * body.gravity
         self._grad_potential = grad
 
+        # the loads' bodies and arms; each load fills the 12 coordinates of
+        # its body with its force, and the slope of that force is one (9, 9)
+        # block on its body's director coordinates (_input_map_blocks),
+        # whose entries sit at (_load_rows, _load_cols)
         self._load_bodies = np.array([load.body for load in self.loads], dtype=int)
         self._load_arms = np.array([load.r_material for load in self.loads],
                                    dtype=float).reshape(-1, 3)
+        self._load_coords = 12 * self._load_bodies[:, None] + np.arange(12)
+        self._load_directors = self._load_coords[:, 3:].copy()
+        self._load_rows = np.repeat(self._load_directors, 9, axis=1).ravel()
+        self._load_cols = np.tile(self._load_directors, 9).ravel()
 
         self._g0, (G0_rows, G0_cols, G0), (rows, a, b, self._H_values) = _constant_tensors(self)
         self._H_rows, self._H_b = rows, b
@@ -173,6 +192,11 @@ class MultibodySystem:
         groups = _newton_groups(self)
         self._newton_blocks = (tuple(_GroupBlocks(self, vel, mult) for vel, mult in groups)
                                if _blocks_pay(self, groups) else None)
+
+    @cached_property
+    def _dense_blocks(self):
+        """_DenseBlocks of the dense mp update, built on first use."""
+        return _DenseBlocks(self, self.n + self.m)
 
     @cached_property
     def _augmented_blocks(self):
@@ -349,10 +373,10 @@ class _GroupBlocks:
     positions in A, B or C: K_entries -> K_at, G_int -> GT_at and Gs_at,
     G_joint -> B_at and C_at. schur_at places C_g A_g^-1 B_g in the
     (mj, mj) Schur matrix (mj^2 for padding), and loads lists (load, group,
-    offset) of the loaded bodies. A, B and C are the buffers, reused by
-    every Newton iteration; B and C are zero outside their maps. Being
-    kept with the system, they let one system be stepped by only one
-    thread at a time.
+    offset of the body's directors) of the loaded bodies. A, B and C are
+    the buffers, reused by every Newton iteration; B and C are zero
+    outside their maps. Being kept with the system, they let one system be
+    stepped by only one thread at a time.
     """
 
     def __init__(self, sys, vel, mult):
@@ -389,7 +413,7 @@ class _GroupBlocks:
         self.schur_at = np.where(real[:, :, None] & real[:, None, :],
                                  self.joint[:, :, None] * mj + self.joint[:, None, :],
                                  mj * mj)
-        self.loads = [(l, group[12 * body], local[12 * body])
+        self.loads = [(l, group[12 * body], local[12 * body] + 3)
                       for l, body in enumerate(sys._load_bodies) if group[12 * body] >= 0]
 
         self.A = np.empty((k, s, s))
@@ -397,14 +421,43 @@ class _GroupBlocks:
         self.C = np.zeros((k, wj, nv))
 
 
-class _AugmentedBlocks:
+class _DenseBlocks:
+    """Where the values of the reduced Newton matrix go in a dense (s, s)
+    array, with the unknowns (u, lambda) at offsets 0 and n.
+
+    The (u, u) block (h^2/4)(K - W) + M takes its values on one pattern
+    fixed here: the union of the pattern of K, the loads' director blocks
+    and the diagonal. KW_bins sends each entry of K and then each entry of
+    the loads' blocks W (in the order of _input_map_blocks) to its bin of
+    that union, diag_bins the diagonal, and KW_at places the bins in the
+    array. The (u, lambda) block h G^T and the (lambda, u) block (h/2) Gs
+    take the values on the pattern of G at GT_at and Gs_at.
+    """
+
+    def __init__(self, sys, s):
+        n = sys.n
+        Kp, Gp = sys._K_pattern, sys._G_pattern
+        loads = sys._load_rows * n + sys._load_cols
+        flat, bins = np.unique(np.concatenate([Kp.flat, loads, np.arange(n) * (n + 1)]),
+                               return_inverse=True)
+        self.size = s
+        self.KW_bins, self.diag_bins = np.split(bins, [Kp.flat.size + loads.size])
+        self.KW_count = flat.size
+        row, col = np.divmod(flat, n)
+        self.KW_at = row * s + col
+        self.GT_at = Gp.col * s + n + Gp.row
+        self.Gs_at = (n + Gp.row) * s + Gp.col
+
+
+class _AugmentedBlocks(_DenseBlocks):
     """Where the gamma terms of the mp-ggl reduced Newton matrix go.
 
     That matrix (integrate.midpoint_linearization) is s = n + 2m square,
-    with the unknowns (u, lambda, gamma) at offsets 0, n and n + m. Beyond
-    the plain scheme's blocks it holds a G^T-shaped (u, gamma) block and a
-    G-shaped (gamma, u) block, each on the pattern of G (their entries go to
-    the flat positions GT_at and G_at), minus the four products
+    with the unknowns (u, lambda, gamma) at offsets 0, n and n + m. Its
+    plain scheme's blocks go where _DenseBlocks puts them at this size.
+    Beyond those it holds a G^T-shaped (u, gamma) block and a G-shaped
+    (gamma, u) block, each on the pattern of G (their entries go to the
+    flat positions DG_at and Gg_at), minus the four products
 
         Q = [(h/2) Kg; Gs] M^-1 [(h/2) Kg, 2 G^T],    Kg = K(gamma),
 
@@ -421,9 +474,10 @@ class _AugmentedBlocks:
     def __init__(self, sys):
         n, m = sys.n, sys.m
         s, gam = n + 2 * m, n + m
+        super().__init__(sys, s)
         Kp, Gp = sys._K_pattern, sys._G_pattern
-        self.GT_at = Gp.col * s + gam + Gp.row
-        self.G_at = (gam + Gp.row) * s + Gp.col
+        self.DG_at = Gp.col * s + gam + Gp.row
+        self.Gg_at = (gam + Gp.row) * s + Gp.col
         # each factor's pattern, offset in the stacked values and offset of
         # its rows in the matrix (K(gamma) is symmetric, so its rows serve
         # as the columns of the right factor)
@@ -583,8 +637,15 @@ def hamiltonian(sys, q, v):
     return 0.5 * float(v @ (sys.mass_diag * v)) + V
 
 
-# component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1], indices mod 3
-_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
+# component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1], indices mod 3:
+# the first three columns of a[_AB] * b[_BA] minus the last three
+_AB, _BA = [1, 2, 0, 2, 0, 1], [2, 0, 1, 1, 2, 0]
+
+
+def _cross(a, b):
+    """a x b over the last axis, written out as np.cross evaluates it."""
+    ab = a.take(_AB, axis=-1) * b.take(_BA, axis=-1)
+    return ab[..., :3] - ab[..., 3:]
 
 
 def total_angular_momentum(sys, q, v):
@@ -600,20 +661,39 @@ def total_angular_momentum(sys, q, v):
     """
     x = np.asarray(q, dtype=float).reshape(-1, 4, 3)
     p = (sys.mass_diag * np.asarray(v, dtype=float)).reshape(-1, 4, 3)
-    L = (np.take(x, _NEXT, axis=-1) * np.take(p, _PREV, axis=-1)
-         - np.take(x, _PREV, axis=-1) * np.take(p, _NEXT, axis=-1))
+    L = _cross(x, p)
     return (L[:, 0] + L[:, 1:].sum(axis=1)).sum(axis=0)
 
 
+def _load_moments(sys, q, t):
+    """(F, d, c) of every load at (q, t), one row per load.
+
+    F is the force, d the directors of the load's body (as rows) and
+    c = r x F + tau the moment about the center of mass, with the arm
+    r = r_material d. The applied force and its slope are both written
+    from these (input_assembly, _input_map_blocks).
+    """
+    u = np.array([load.wrench(t) for load in sys.loads], dtype=float).reshape(-1, 6)
+    F, tau = u[:, :3], u[:, 3:]
+    d = np.asarray(q, dtype=float)[sys._load_directors].reshape(-1, 3, 3)
+    r = (sys._load_arms[:, None] @ d)[:, 0]
+    return F, d, _cross(r, F) + tau
+
+
 def input_assembly(sys, q, t):
-    """Generalized force of all applied loads at time t, shape (n,)."""
-    f = np.zeros(sys.n)
-    for load in sys.loads:
-        u = np.asarray(load.wrench(t), dtype=float)
-        qk = sys.body_config(q, load.body)
-        B = external_wrench_map(qk, load.r_material)
-        f[12 * load.body:12 * load.body + 12] += B @ u
-    return f
+    """Generalized force f = B(q) u of all applied loads at time t, shape (n,).
+
+    Each load's wrench map (directors.external_wrench_map) puts its force
+    F on the position rows of its body and -(d_i x c) / 2 on director
+    block i, with c its moment (_load_moments). All loads are evaluated in
+    one pass and summed per body in load order.
+    """
+    if not sys.loads:
+        return np.zeros(sys.n)
+    F, d, c = _load_moments(sys, q, t)
+    # c x d_i = -(d_i x c), exactly
+    f = np.concatenate([F, 0.5 * _cross(c[:, None], d).reshape(-1, 9)], axis=1)
+    return np.bincount(sys._load_coords.ravel(), f.ravel(), minlength=sys.n)
 
 
 # hat is linear: hat(a) = sum_i a_i hat(e_i)
@@ -627,52 +707,38 @@ def _hats(a):
 
 def _input_map_blocks(sys, q, t):
     """Configuration derivative of each load's generalized force, shape
-    (loads, 12, 12): the block on the rows and columns of its body.
+    (loads, 9, 9): the block on the director coordinates of its body, at
+    (sys._load_rows, sys._load_cols). The rows and columns of the center
+    of mass are zero.
 
     The wrench map is linear in the directors through both the moment arm
     r = r_material d and the director distribution, so each block is
     affine in q; with c = r x F + tau, director block (i, j) is
     (r_material[j] hat(d_i) hat(F) + [i == j] hat(c)) / 2.
     """
-    u = np.array([load.wrench(t) for load in sys.loads], dtype=float).reshape(-1, 6)
-    F, tau = u[:, :3], u[:, 3:]
-    d = np.asarray(q, dtype=float).reshape(-1, 12)[sys._load_bodies, 3:].reshape(-1, 3, 3)
-    arm = sys._load_arms
-    r = (arm[:, :, None] * d).sum(axis=1)
-    c = (_hats(r) @ F[:, :, None])[..., 0] + tau
-    # blocks[l, i, :, j, :] is director block (i, j) of load l
+    F, d, c = _load_moments(sys, q, t)
+    # W[l, i, :, j, :] is director block (i, j) of load l
     dF = _hats(d) @ _hats(F)[:, None]
-    blocks = (0.5 * arm[:, None, None, :, None]) * dF[:, :, :, None, :]
-    W = np.zeros((len(sys.loads), 12, 12))
-    W[:, 3:, 3:] = blocks.reshape(-1, 9, 9)
+    W = (0.5 * sys._load_arms[:, None, None, :, None]) * dF[:, :, :, None, :]
+    W = W.reshape(-1, 9, 9)
     half_c = 0.5 * _hats(c)
-    for i in range(3, 12, 3):
+    for i in range(0, 9, 3):
         W[:, i:i + 3, i:i + 3] += half_c
     return W
 
 
-def _add_load_blocks(sys, A, W, scale=1.0):
-    """A += scale * W on the body blocks of the loads, for a dense (n, n) A
-    and W from _input_map_blocks."""
-    for body, block in zip(sys._load_bodies, W):
-        rows = slice(12 * body, 12 * body + 12)
-        A[rows, rows] += scale * block
-    return A
-
-
 def _load_blocks_times(sys, W, x):
     """(sum of the loads' blocks W) x, shape (n,)."""
-    y = np.zeros(sys.n)
-    for body, block in zip(sys._load_bodies, W):
-        rows = slice(12 * body, 12 * body + 12)
-        y[rows] += block @ x[rows]
-    return y
+    return np.bincount(sys._load_rows, W.ravel() * x[sys._load_cols], minlength=sys.n)
 
 
 def input_map_jacobian(sys, q, t):
     """Configuration derivative of input_assembly, shape (n, n): the dense
-    scatter of the loads' 12x12 blocks (_input_map_blocks)."""
-    return _add_load_blocks(sys, np.zeros((sys.n, sys.n)), _input_map_blocks(sys, q, t))
+    scatter of the loads' director blocks (_input_map_blocks)."""
+    n = sys.n
+    W = _input_map_blocks(sys, q, t)
+    return np.bincount(sys._load_rows * n + sys._load_cols, W.ravel(),
+                       minlength=n * n).reshape(n, n)
 
 
 def consistency(sys, q, v):

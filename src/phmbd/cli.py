@@ -83,6 +83,7 @@ def simulate_cmd(scenario, scheme, tol, h, t_end, out):
     click.echo(f"completed {traj.rows - 1} steps of {config.name} ({scheme}, h={h:g}) "
                f"in {elapsed:.2f} s")
     click.echo(f"energy drift {report.relative_energy_drift:.3e}, "
+               f"power defect {report.max_power_defect:.3e}, "
                f"max|g| {traj.max_g.max():.3e}, max|Gv| {traj.max_gv.max():.3e}")
     click.echo(f"wrote {out} and {sidecar}")
 

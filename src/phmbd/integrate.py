@@ -23,8 +23,10 @@ the system is built (see phmbd.assembly): G(q) = G0 + H q, the slope
 D(v) = H v of G(q) v, and the contraction K(lambda) = sum_i lambda_i H_i
 of the sparse constant Hessian H. Each is evaluated as its values on a
 sparsity pattern fixed at assembly; the residuals' products G w and
-G^T lambda use those values directly, and only a dense Newton matrix
-scatters them into dense arrays.
+G^T lambda use those values directly, and so do the Newton updates. The
+applied loads enter as their force f = B(q) u and its slope W, one block
+per load, both from one vectorized pass over the loads
+(assembly.input_assembly, assembly._input_map_blocks).
 
 The position rows q1 - q0 - h w are linear in q1 with a constant
 coefficient of v1 and the mass matrix is constant and diagonal, so each
@@ -42,9 +44,12 @@ scattered straight into the groups' saddle and coupling blocks, the
 blocks are eliminated group by group and the joint multipliers solve a
 Schur system, with no (n, n) or (m, n) array formed; otherwise, and
 always for the augmented scheme, the reduced system is solved by one
-dense LU. midpoint_jacobian and ggl_jacobian are the full Newton matrices,
-the chain rule through (w, p), kept as the references the reduced
-updates are tested against.
+dense LU of a matrix that the pattern values and the load blocks are
+placed in at flat positions fixed per system (_reduced_matrix), again
+with no dense K, W or G in between. midpoint_jacobian and ggl_jacobian
+are the full Newton matrices, the chain rule through (w, p), kept as the
+references the reduced updates are tested against; they alone scatter
+the pattern values into dense arrays.
 """
 from __future__ import annotations
 
@@ -55,7 +60,6 @@ import numpy as np
 
 from .assembly import (
     SystemState,
-    _add_load_blocks,
     _contraction_values,
     _input_map_blocks,
     _jacobian_values,
@@ -67,7 +71,6 @@ from .assembly import (
     input_assembly,
     input_map_jacobian,
     port_flow,
-    potential,
     stack_constraints,
     total_angular_momentum,
 )
@@ -226,18 +229,20 @@ def midpoint_linearization(sys, state, y, h, out=None):
     raises np.linalg.LinAlgError when the reduced matrix is singular.
 
     K, D and G enter as their values on the patterns fixed at assembly
-    and W as one 12x12 block per load; the right-hand sides and the back
-    substitution take their products from those values. The plain system
-    is solved in one of two ways, chosen once per system when it is
-    assembled (MultibodySystem._newton_blocks): by one dense LU of the
-    matrix scattered from those values, or, when an operation count says
-    it is cheaper, group by group (_block_solve): the values are scattered
-    straight into each group's saddle block and its coupling blocks to the
-    joint rows, held in buffers kept with the system, each size of group
-    takes one batched inverse, and the Schur system on the joint
-    multipliers is summed from the groups' small products. The augmented
-    system is always solved by one dense LU; its M^-1 products of K(gamma)
-    and G are summed over the column pairs of their fixed patterns
+    and W as one (9, 9) block per load on its body's directors; the
+    right-hand sides and the back substitution take their products from
+    those values. The plain system is solved in one of two ways, chosen
+    once per system when it is assembled (MultibodySystem._newton_blocks):
+    by one dense LU of the matrix those values are placed in at flat
+    positions fixed per system (_reduced_matrix), or, when an operation
+    count says it is cheaper, group by group (_block_solve): the values
+    are scattered straight into each group's saddle block and its coupling
+    blocks to the joint rows, held in buffers kept with the system, each
+    size of group takes one batched inverse, and the Schur system on the
+    joint multipliers is summed from the groups' small products. The
+    augmented system is always solved by one dense LU of a matrix
+    assembled the same way; its M^-1 products of K(gamma) and G are summed
+    over the column pairs of their fixed patterns
     (assembly._AugmentedBlocks), with no dense product. Each path uses
     exactly one np.linalg.solve.
 
@@ -289,12 +294,8 @@ def midpoint_linearization(sys, state, y, h, out=None):
         if gamma is None and sys._newton_blocks is not None:
             x = _block_solve(sys, sys._newton_blocks, h, K, G, Gs, W, np.concatenate(b))
         else:
-            KW = Kp.dense(K)
-            if W is not None:
-                _add_load_blocks(sys, KW, W, -1.0)
-            x = np.linalg.solve(
-                _reduced_matrix(sys, h, KW, Gp.dense(G), Gp.dense(Gs), out, gamma),
-                np.concatenate(b))
+            x = np.linalg.solve(_reduced_matrix(sys, h, K, W, G, Gs, out, gamma),
+                                np.concatenate(b))
         u = x[:n]
         dq = (0.5 * h) * u - r_q
         if gamma is None:
@@ -305,43 +306,46 @@ def midpoint_linearization(sys, state, y, h, out=None):
     return r, update
 
 
-def _reduced_matrix(sys, h, KW, G, Gs, out=None, gamma=None):
+def _reduced_matrix(sys, h, K, W, G, Gs, out=None, gamma=None):
     """The reduced Newton matrix of midpoint_linearization, assembled in out.
 
-    KW = K(lambda) - W, G = G(q_mid) and Gs = G(q_mid + h w / 2), all
-    dense. Without gamma it is the plain scheme's (n + m) matrix. gamma =
-    (Q, Gg, DG) gives the augmented scheme's (n + 2m) matrix: Q holds the
-    values of [(h/2) Kg; Gs] M^-1 [(h/2) Kg, 2 G^T] with Kg = K(gamma),
-    and Gg = G(q_mid + (h/2)(w + v_mid + (h/2) M^-1 p)) and
-    DG = h D(v_mid) - 2 G are values on the pattern of G; they are
-    scattered by the system's assembly._AugmentedBlocks into the
-    (gamma, u) and (u, gamma) blocks, and Q is subtracted where it falls.
-    At gamma = 0, Q = 0 and the leading (n + m) block is the plain matrix
-    bit for bit.
+    K = K(lambda) on its pattern, W the loads' director blocks
+    (assembly._input_map_blocks, None without loads), and G = G(q_mid) and
+    Gs = G(q_mid + h w / 2) on the pattern of G. Without gamma it is the
+    plain scheme's (n + m) matrix. gamma = (Q, Gg, DG) gives the augmented
+    scheme's (n + 2m) matrix: Q holds the values of
+    [(h/2) Kg; Gs] M^-1 [(h/2) Kg, 2 G^T] with Kg = K(gamma), and
+    Gg = G(q_mid + (h/2)(w + v_mid + (h/2) M^-1 p)) and DG = h D(v_mid) - 2 G
+    are values on the pattern of G for the (gamma, u) and (u, gamma)
+    blocks, and Q is subtracted where it falls. At gamma = 0, Q = 0 and the
+    leading (n + m) block is the plain matrix bit for bit.
+
+    Every value goes straight into the array, at flat positions fixed per
+    system (assembly._DenseBlocks, assembly._AugmentedBlocks): K - W is
+    summed on one pattern that includes the diagonal, so the (u, u) block
+    (h^2/4)(K - W) + M needs no dense K, W or G.
     """
-    n, m = sys.n, sys.m
-    size = n + m if gamma is None else n + 2 * m
-    A = np.empty((size, size)) if out is None else out
-    np.multiply(KW, 0.25 * h * h, out=A[:n, :n])
-    diag = np.arange(n)
-    A[diag, diag] += sys.mass_diag
-    np.multiply(G.T, h, out=A[:n, n:n + m])
-    np.multiply(Gs, 0.5 * h, out=A[n:n + m, :n])
-    A[n:, n:] = 0.0
+    blk = sys._dense_blocks if gamma is None else sys._augmented_blocks
+    A = np.empty((blk.size, blk.size)) if out is None else out
+    A.fill(0.0)
+    flat = A.ravel()
+    KW = np.bincount(blk.KW_bins, K if W is None else np.concatenate([K, -W.ravel()]),
+                     minlength=blk.KW_count)
+    KW *= 0.25 * h * h
+    KW[blk.diag_bins] += sys.mass_diag
+    flat[blk.KW_at] = KW
+    flat[blk.GT_at] = h * G
+    flat[blk.Gs_at] = (0.5 * h) * Gs
     if gamma is not None:
         Q, Gg, DG = gamma
-        blk = sys._augmented_blocks
-        A[:n, n + m:] = 0.0
-        A[n + m:, :n] = 0.0
-        flat = A.ravel()
-        flat[blk.GT_at] = DG
-        flat[blk.G_at] = Gg
+        flat[blk.DG_at] = DG
+        flat[blk.Gg_at] = Gg
         flat[blk.Q_at] -= Q
     return A
 
 
 def _block_solve(sys, blocks, h, K, G, Gs, W, b):
-    """Solve _reduced_matrix(sys, h, K - W, G, Gs) x = b group by group.
+    """Solve _reduced_matrix(sys, h, K, W, G, Gs) x = b group by group.
 
     blocks are the assembly._GroupBlocks of the system's Newton groups: no
     entry of K, W or an orthonormality row couples two groups, so ordering
@@ -352,7 +356,7 @@ def _block_solve(sys, blocks, h, K, G, Gs, W, b):
         [C  0]    B = h G_joint^T and C = (h/2) Gs_joint
 
     with B and C nonzero only in velocity rows and columns. K, G and Gs are
-    values on the system's patterns and W the loads' 12x12 blocks (None
+    values on the system's patterns and W the loads' director blocks (None
     without loads); each is scattered straight into the group buffers,
     without forming a dense matrix. Each size of group takes one batched
     inverse of its saddle blocks, which pivots across the velocity and
@@ -375,7 +379,7 @@ def _block_solve(sys, blocks, h, K, G, Gs, W, b):
         A.fill(0.0)
         A.ravel()[blk.K_at] = c * K[blk.K_entries]
         for load, g, at in blk.loads:
-            A[g, at:at + 12, at:at + 12] -= c * W[load]
+            A[g, at:at + 9, at:at + 9] -= c * W[load]
         diag = np.arange(nv)
         A[:, diag, diag] += blk.mass
         A.ravel()[blk.GT_at] = h * G[blk.G_int]
@@ -498,7 +502,7 @@ def _midpoint_flow(sys, state, y, h):
     qm = 0.5 * (state.q + y[:n])
     vm = 0.5 * (state.v + y[n:2 * n])
     G = _jacobian_values(sys, qm)
-    force = -potential(sys, qm)[1]
+    force = -sys._grad_potential
     if sys.loads:
         force += input_assembly(sys, qm, state.t + 0.5 * h)
     if y.size == 2 * n + m:
@@ -542,9 +546,10 @@ def newton_solve(linearize, x0, tol=1e-9, max_iter=50):
     grew = 0
     for it in range(max_iter + 1):
         r, update = linearize(x)
-        if not np.all(np.isfinite(r)):
-            return NewtonResult(x, False, it, norm, "non-finite residual")
+        # a NaN or an infinity in r carries into its largest magnitude
         prev, norm = norm, float(np.abs(r).max())
+        if not math.isfinite(norm):
+            return NewtonResult(x, False, it, prev, "non-finite residual")
         if norm <= tol:
             return NewtonResult(x, True, it, norm)
         grew = grew + 1 if norm > prev else 0
@@ -556,7 +561,7 @@ def newton_solve(linearize, x0, tol=1e-9, max_iter=50):
             dx = update()
         except np.linalg.LinAlgError:
             return NewtonResult(x, False, it, norm, "singular Newton matrix")
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             return NewtonResult(x, False, it, norm, "non-finite Newton update")
         x = x + dx
     return NewtonResult(x, False, max_iter, norm, "no convergence within max_iter")

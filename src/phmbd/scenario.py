@@ -288,8 +288,7 @@ def load_scenario(name_or_path):
 
 
 def _ramp_decay(load):
-    force = np.asarray(load.force_scale)
-    torque = np.asarray(load.torque_scale)
+    scale = np.concatenate([load.force_scale, load.torque_scale]).astype(float)
     peak, t_peak, t_off = load.peak, load.t_peak, load.t_off
 
     def wrench(t):
@@ -299,7 +298,7 @@ def _ramp_decay(load):
             f = peak * t / t_peak
         else:
             f = peak * (t_off - t) / (t_off - t_peak)
-        return np.concatenate([f * force, f * torque])
+        return f * scale
 
     return wrench
 
@@ -409,6 +408,7 @@ def write_summary_json(config, traj, report, scheme, tol, path):
             "H_initial": float(traj.H[0]),
             "H_final": float(traj.H[-1]),
             "relative_energy_drift": report.relative_energy_drift,
+            "max_power_defect": report.max_power_defect,
             "momentum_drift": [float(x) for x in report.momentum_drift],
             "max_g": float(traj.max_g.max()),
             "max_gv": float(traj.max_gv.max()),

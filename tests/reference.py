@@ -7,7 +7,12 @@ the library fixes at assembly. The pair residuals are written out per pair
 type here (`pair_residual`), apart from the row tables the library derives
 everything from, and their Jacobian is a central difference with unit
 step, exact for quadratics up to rounding. The stacked angular momentum is
-checked against `loop_angular_momentum`, the sum of the per-body function.
+checked against `loop_angular_momentum`, the sum of the per-body function,
+and the applied force against `loop_input_assembly`, the sum of each
+load's wrench map. `reduced_matrix` assembles the reduced Newton matrix of
+`phmbd.integrate.midpoint_linearization` from dense K - W, G and Gs; the
+library places the same values straight into the matrix, and must match
+it bit for bit.
 
 The constrained equations of motion are reduced to an ODE on (q, v) by
 solving the acceleration-level constraint for the multipliers,
@@ -29,6 +34,7 @@ from phmbd.assembly import (
 )
 from phmbd.directors import (
     angular_momentum,
+    external_wrench_map,
     internal_constraint_gradient,
     internal_constraints,
     split_config,
@@ -123,6 +129,60 @@ def loop_angular_momentum(sys, q, v):
     for k, body in enumerate(sys.bodies):
         L += angular_momentum(body, q[12 * k:12 * k + 12], v[12 * k:12 * k + 12])
     return L
+
+
+def loop_input_assembly(sys, q, t):
+    """Generalized force of the loads, one wrench map per load, summed in
+    load order."""
+    f = np.zeros(sys.n)
+    for load in sys.loads:
+        u = np.asarray(load.wrench(t), dtype=float)
+        B = external_wrench_map(sys.body_config(q, load.body), load.r_material)
+        f[12 * load.body:12 * load.body + 12] += B @ u
+    return f
+
+
+def reduced_matrix(sys, h, K, W, G, Gs, gamma=None):
+    """The reduced Newton matrix of midpoint_linearization from dense blocks.
+
+    Takes the arguments of phmbd.integrate._reduced_matrix: K on the
+    pattern of K, the loads' (9, 9) director blocks W (None without loads),
+    G and Gs on the pattern of G, and gamma = (Q, Gg, DG) for the augmented
+    scheme. It scatters K, G and Gs into dense arrays, subtracts each W
+    block in load order, and assembles
+
+        [M + (h^2/4)(K - W)   h G^T]
+        [(h/2) Gs             0    ]
+
+    then, for the augmented scheme, places DG and Gg in the (u, gamma) and
+    (gamma, u) blocks and subtracts Q at the positions of the system's
+    assembly._AugmentedBlocks.
+    """
+    n, m = sys.n, sys.m
+    KW = sys._K_pattern.dense(K)
+    if W is not None:
+        for body, block in zip(sys._load_bodies, W):
+            rows = slice(12 * body + 3, 12 * body + 12)
+            KW[rows, rows] -= block
+    G, Gs = sys._G_pattern.dense(G), sys._G_pattern.dense(Gs)
+    size = n + m if gamma is None else n + 2 * m
+    A = np.empty((size, size))
+    np.multiply(KW, 0.25 * h * h, out=A[:n, :n])
+    diag = np.arange(n)
+    A[diag, diag] += sys.mass_diag
+    np.multiply(G.T, h, out=A[:n, n:n + m])
+    np.multiply(Gs, 0.5 * h, out=A[n:n + m, :n])
+    A[n:, n:] = 0.0
+    if gamma is not None:
+        Q, Gg, DG = gamma
+        blk = sys._augmented_blocks
+        A[:n, n + m:] = 0.0
+        A[n + m:, :n] = 0.0
+        flat = A.ravel()
+        flat[blk.DG_at] = DG
+        flat[blk.Gg_at] = Gg
+        flat[blk.Q_at] -= Q
+    return A
 
 
 def index_reduced_rhs(sys, t, y):

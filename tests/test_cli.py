@@ -40,6 +40,22 @@ def test_simulate_writes_csv_and_summary(runner, tmp_path):
     assert doc["summary"]["rows"] == 11
 
 
+@pytest.mark.parametrize("scheme", ["mp", "mp-ggl"])
+def test_simulate_reports_power_defect_under_load(runner, tmp_path, scheme):
+    """closed_loop's energy drift is the work of its load; the power defect,
+    the violation of the discrete balance dH = supplied energy, is what
+    shows conservation, in the sidecar and on the summary line."""
+    out = tmp_path / "cl.csv"
+    result = runner.invoke(main, ["simulate", "--scenario", "closed_loop",
+                                  "--integrator", scheme, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "cl.json").read_text())["summary"]
+    assert summary["completed"] is True
+    assert summary["relative_energy_drift"] > 1.0
+    assert summary["max_power_defect"] <= 1e-10
+    assert f"power defect {summary['max_power_defect']:.3e}" in result.output
+
+
 @pytest.mark.parametrize("args", [
     ["--h", "-1"],
     ["--h", "0.003", "--t-end", "0.01"],

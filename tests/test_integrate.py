@@ -206,6 +206,44 @@ def test_newton_solve_reports_divergence():
     assert once.converged and once.iterations == 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_newton_solve_reports_non_finite_residual(bad):
+    """A NaN or infinite residual stops the corrector; the reported norm is
+    the last finite one (infinite before the first)."""
+    at_start = newton_solve(lambda x: (np.array([0.5, bad]), lambda: -x), np.ones(2))
+    assert (at_start.converged, at_start.message) == (False, "non-finite residual")
+    assert (at_start.iterations, at_start.residual_norm) == (0, np.inf)
+    residuals = iter([np.array([2.0, -1.0]), np.array([bad, 0.5])])
+    later = newton_solve(lambda x: (next(residuals), lambda: -x), np.ones(2))
+    assert (later.converged, later.message) == (False, "non-finite residual")
+    assert (later.iterations, later.residual_norm) == (1, 2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_newton_solve_reports_non_finite_update(bad):
+    result = newton_solve(lambda x: (np.array([-3.0, 1.0]), lambda: np.array([0.0, bad])),
+                          np.ones(2))
+    assert (result.converged, result.message) == (False, "non-finite Newton update")
+    assert (result.iterations, result.residual_norm) == (0, 3.0)
+    npt.assert_array_equal(result.x, np.ones(2))
+
+
+def test_newton_solve_reports_iteration_cap():
+    """A residual that neither falls below tol nor grows runs into
+    max_iter, with every update taken."""
+    calls = []
+
+    def linearize(x):
+        calls.append(x)
+        return np.array([0.5, -3.0]), lambda: np.ones(2)
+
+    result = newton_solve(linearize, np.zeros(2), max_iter=4)
+    assert (result.converged, result.message) == (False, "no convergence within max_iter")
+    assert (result.iterations, result.residual_norm) == (4, 3.0)
+    assert len(calls) == 5
+    npt.assert_array_equal(result.x, np.full(2, 4.0))
+
+
 @pytest.mark.parametrize("scheme", ["mp", "mp-ggl"])
 @pytest.mark.parametrize("scenario, h", [("flying_pair", 1e-3), ("closed_loop", 0.1)])
 def test_residual_is_the_midpoint_port_hamiltonian_system(scheme, scenario, h, request):

@@ -1,4 +1,4 @@
-"""Block elimination of the reduced mp Newton matrix.
+"""The two ways the reduced Newton matrix is assembled and solved.
 
 `assembly._newton_groups` groups the bodies that the constraint Hessians
 couple, `assembly._GroupBlocks` maps the kernel's pattern values into
@@ -6,7 +6,9 @@ the blocks of each group size, `integrate._block_solve` solves the reduced (n + 
 midpoint system group by group with a Schur system on the joint
 multipliers, and the system takes that path only where an operation count
 says it beats one dense LU. The helpers are called directly, on systems
-either path would take.
+either path would take. The dense path scatters the same values straight
+into the matrix (`integrate._reduced_matrix`), which must equal the dense
+formula of `reference.reduced_matrix` bit for bit.
 """
 import tracemalloc
 
@@ -25,21 +27,18 @@ from phmbd.assembly import (
     _newton_groups,
     _slope_values,
     consistency,
-    constraint_hessian_contraction,
-    constraint_velocity_gradient,
-    input_map_jacobian,
-    stack_constraints,
 )
+from phmbd import integrate
 from phmbd.directors import RigidBody
 from phmbd.integrate import (
     _block_solve,
-    _reduced_matrix,
     midpoint_jacobian,
     midpoint_linearization,
     newton_solve,
 )
 
 from conftest import random_orthonormal_config
+from reference import reduced_matrix
 from test_kernel import _pendulum_chain, _pendulum_chain_config
 from test_properties import PAIR_TYPES
 
@@ -108,21 +107,47 @@ def test_block_solve_matches_dense_solve(name, h, request):
     n = sys.n
     qm = 0.5 * (state.q + y[:n])
     vm = 0.5 * (state.v + y[n:2 * n])
-    _, G = stack_constraints(sys, qm)
-    KW = constraint_hessian_contraction(sys, y[2 * n:])
-    if sys.loads:
-        KW -= input_map_jacobian(sys, qm, state.t + 0.5 * h)
-    Gs = G + constraint_velocity_gradient(sys, 0.5 * h * vm)
     b = rng.standard_normal(n + sys.m)
 
-    G_values = _jacobian_values(sys, qm)
+    K = _contraction_values(sys, y[2 * n:])
+    G = _jacobian_values(sys, qm)
+    Gs = G + _slope_values(sys, 0.5 * h * vm)
     W = _input_map_blocks(sys, qm, state.t + 0.5 * h) if sys.loads else None
     blocks = [_GroupBlocks(sys, vel, mult) for vel, mult in _newton_groups(sys)]
-    x = _block_solve(sys, blocks, h,
-                     _contraction_values(sys, y[2 * n:]), G_values,
-                     G_values + _slope_values(sys, 0.5 * h * vm), W, b)
-    x_ref = np.linalg.solve(_reduced_matrix(sys, h, KW, G, Gs), b)
+    x = _block_solve(sys, blocks, h, K, G, Gs, W, b)
+    x_ref = np.linalg.solve(reduced_matrix(sys, h, K, W, G, Gs), b)
     assert np.abs(x - x_ref).max() <= BLOCK_RTOL * np.abs(x_ref).max()
+
+
+@pytest.mark.parametrize("scheme, name, h", [
+    (scheme, name, h) for scheme in ("mp", "mp-ggl")
+    for name, h in (("flying_pair", 1e-3), ("slider_crank", 0.01),
+                    ("closed_loop", 0.1))  # applied load, so K - W
+] + [("mp-ggl", "pendulum_chain", 0.01)])  # its mp update takes the block path
+def test_dense_matrix_is_the_dense_formula(scheme, name, h, request, monkeypatch):
+    """The dense path places the pattern values straight into the reduced
+    matrix; it equals reference.reduced_matrix, which scatters dense K - W,
+    G and Gs first, bit for bit, and overwrites every stale entry of the
+    work array it is given."""
+    rng = np.random.default_rng(SEED)
+    sys, state = _system(name, request, rng)
+    y = _random_iterate(sys, state, h, rng)
+    size = sys.n + sys.m
+    if scheme == "mp-ggl":
+        y = np.concatenate([y, rng.standard_normal(sys.m)])
+        size += sys.m
+    calls, assemble = [], integrate._reduced_matrix
+
+    def recording(*args):
+        A = assemble(*args)
+        calls.append((args, A.copy()))
+        return A
+
+    monkeypatch.setattr(integrate, "_reduced_matrix", recording)
+    midpoint_linearization(sys, state, y, h, out=np.full((size, size), np.nan))[1]()
+    [((_, h_, K, W, G, Gs, _, gamma), A)] = calls
+    assert A.shape == (size, size) and (gamma is None) == (scheme == "mp")
+    npt.assert_array_equal(A, reduced_matrix(sys, h_, K, W, G, Gs, gamma))
 
 
 def test_block_update_matches_full_newton_step():
