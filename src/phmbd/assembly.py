@@ -42,11 +42,11 @@ configuration slope W of f, one (9, 9) block on the body's directors, are
 both written from r and the moment c = r x F + tau, for all loads in one
 vectorized pass (input_assembly, _input_map_blocks).
 
-The constants of the pair rows are exact: each pair is a table of
-dot-product rows (phmbd.joints), and g0, G0 and H are written from the
-tables directly (_pair_constants), with zeros wherever the tables have
-them. Only the orthonormality rows are probed, once, from the director
-functions. Construction also groups the bodies that H couples
+The constants are exact: every row is a dot-product row of a table, the
+pairs' (phmbd.joints) and the six orthonormality rows of each body
+(_ORTHONORMALITY) alike, and g0, G0 and H are written from the tables
+directly (_constant_tensors), with zeros wherever the tables have them.
+Construction also groups the bodies that H couples
 (_newton_groups) and decides once whether the mp Newton update eliminates
 those groups one by one or solves one dense system (_blocks_pay). For the
 former it builds, per group size, the scatter maps from the patterns into
@@ -63,11 +63,12 @@ from typing import Callable
 
 import numpy as np
 
-# angular_momentum and external_wrench_map are no longer called here; they
-# stay importable from this module because perfbench/tracer.py wraps them
-# by these names.
+# angular_momentum, external_wrench_map, internal_constraints and
+# internal_constraint_gradient are no longer called here (the
+# orthonormality rows are a row table, _ORTHONORMALITY); they stay
+# importable from this module because perfbench/tracer.py wraps them by
+# these names.
 from .directors import (
-    RigidBody,
     angular_momentum,
     external_wrench_map,
     hat,
@@ -234,82 +235,60 @@ class _Pattern:
         return A
 
 
-def _probe_affine(fn, width):
-    """Value at zero and slope of an affine map of a width-vector.
-
-    Returns (F0, S) with F0 = fn(0) and S[..., c] = fn(e_c) - fn(0), which
-    is exact up to the rounding of fn for affine fn.
-    """
-    F0 = fn(np.zeros(width))
-    return F0, np.stack([fn(e) - F0 for e in np.eye(width)], axis=-1)
+# The six orthonormality rows of one body as a row table (alpha, beta, u0,
+# w0, c) on its blocks (phi, d1, d2, d3), in the order of
+# directors.internal_constraints: |d_i|^2 / 2 - 1/2 is (e_i / 2, e_i, 1/2)
+# and d_i . d_j is (e_i, e_j, 0). Blocks 4-7 (a pair's body B) stay zero.
+_DIRECTOR_ROWS = ((1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3))
+_ORTHONORMALITY = (
+    np.array([np.eye(8)[i] * (0.5 if i == j else 1.0) for i, j in _DIRECTOR_ROWS]),
+    np.array([np.eye(8)[j] for _, j in _DIRECTOR_ROWS]),
+    np.zeros((6, 3)),
+    np.zeros((6, 3)),
+    np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.0]),
+)
 
 
 def _constant_tensors(sys):
     """g0 = g(0) and the nonzeros of G0 = G(0) and of the Hessians H[i, a, b].
 
     All constraints are quadratic in q, so these three constants give g, G
-    and their derivatives everywhere. The orthonormality rows are probed
-    once from the director functions and tiled over the bodies; the pair
-    rows are exact, from their tables (_pair_constants). G0 comes back as
-    COO arrays (rows, cols, values) and H as (rows, a, b, values), sorted
-    by row, then by the body-local a, then b, body A before body B.
-    """
-    m, nb = sys.m, len(sys.bodies)
-    g0 = np.empty(m)
-
-    body_rows = 6 * np.arange(nb)[:, None] + np.arange(6)
-    body_cols = 12 * np.arange(nb)[:, None] + np.arange(12)
-    g0[:sys.m_internal] = np.tile(internal_constraints(np.zeros(12)), nb)
-    G_int, H_int = _probe_affine(internal_constraint_gradient, 12)
-    r, a = np.nonzero(G_int)
-    G0_parts = [(body_rows[:, r].ravel(), body_cols[:, a].ravel(), np.tile(G_int[r, a], nb))]
-    r, a, b = np.nonzero(H_int)
-    H_parts = [(body_rows[:, r].ravel(), body_cols[:, a].ravel(),
-                body_cols[:, b].ravel(), np.tile(H_int[r, a, b], nb))]
-    if sys.joints:
-        g0[sys.m_internal:], G0_pairs, H_pairs = _pair_constants(sys)
-        G0_parts.append(G0_pairs)
-        H_parts.append(H_pairs)
-    return (g0, tuple(np.concatenate(p) for p in zip(*G0_parts)),
-            tuple(np.concatenate(p) for p in zip(*H_parts)))
-
-
-def _pair_constants(sys):
-    """g0 and the nonzeros of G0 and H on the joint rows, from the pairs'
-    row tables (phmbd.joints) in one pass.
-
-    Row r is u . w - c with u = sum_p alpha_p X_p + u0 and
-    w = sum_p beta_p X_p + w0 over the 3-blocks X_p of its two bodies. A
-    ground pair's B blocks are held at GROUND_CONFIG and folded into u0
-    and w0 first. Then, at q = 0, on blocks p, p' and components k, k',
+    and their derivatives everywhere. They come from one row table in one
+    pass: each body's orthonormality rows (_ORTHONORMALITY), then every
+    pair's table (phmbd.joints). Row r is u . w - c with
+    u = sum_p alpha_p X_p + u0 and w = sum_p beta_p X_p + w0 over the
+    3-blocks X_p of its two bodies (one body, twice, for the
+    orthonormality rows). A ground pair's B blocks are held at GROUND_CONFIG
+    and folded into u0 and w0 first. Then, at q = 0, on blocks p, p' and components k, k',
 
         g0 = u0 . w0 - c,    G0[(p, k)] = alpha_p w0_k + beta_p u0_k,
         H[(p, k), (p', k')] = (alpha_p beta_p' + beta_p alpha_p') [k == k'],
 
-    exact, and zero wherever the table is.
+    exact, and zero wherever the table is. G0 comes back as COO arrays
+    (rows, cols, values) and H as (rows, a, b, values), sorted by row, then
+    by the row-local a, then b, body A before body B.
     """
-    joints = sys.joints
-    alpha, beta, u0, w0, c = (np.concatenate([getattr(j, key) for j in joints])
-                              for key in ("alpha", "beta", "u0", "w0", "c"))
-    count = [j.count for j in joints]
-    ground = np.repeat([j.is_ground for j in joints], count)
+    nb, joints = len(sys.bodies), sys.joints
+    tables = [_ORTHONORMALITY] * nb + [(j.alpha, j.beta, j.u0, j.w0, j.c) for j in joints]
+    alpha, beta, u0, w0, c = (np.concatenate(column) for column in zip(*tables))
+    count = [6] * nb + [j.count for j in joints]
+    ground = np.repeat([False] * nb + [j.is_ground for j in joints], count)
     ground_blocks = GROUND_CONFIG.reshape(4, 3)
     u0[ground] += alpha[ground, 4:] @ ground_blocks
     w0[ground] += beta[ground, 4:] @ ground_blocks
     alpha[ground, 4:] = beta[ground, 4:] = 0.0
     # column of each of the 24 coordinates (q_A, q_B) of each row
-    bodies = np.repeat([[j.body_a, j.body_b] for j in joints], count, axis=0)
+    bodies = np.repeat([(k, k) for k in range(nb)] + [(j.body_a, j.body_b) for j in joints],
+                       count, axis=0)
     cols = (12 * bodies[:, :, None] + np.arange(12)).reshape(-1, 24)
-    rows = sys.m_internal + np.arange(c.size)
 
     g0 = (u0 * w0).sum(axis=1) - c
     G0 = (alpha[:, :, None] * w0[:, None] + beta[:, :, None] * u0[:, None]).reshape(-1, 24)
     r, a = np.nonzero(G0)
-    G0_part = (rows[r], cols[r, a], G0[r, a])
     S = alpha[:, :, None] * beta[:, None] + beta[:, :, None] * alpha[:, None]
-    r, p, k, p2 = np.nonzero(np.broadcast_to(S[:, :, None], (c.size, 8, 3, 8)))
-    H_part = (rows[r], cols[r, 3 * p + k], cols[r, 3 * p2 + k], S[r, p, p2])
-    return g0, G0_part, H_part
+    r2, p, k, p2 = np.nonzero(np.broadcast_to(S[:, :, None], (c.size, 8, 3, 8)))
+    return (g0, (r, cols[r, a], G0[r, a]),
+            (r2, cols[r2, 3 * p + k], cols[r2, 3 * p2 + k], S[r2, p, p2]))
 
 
 def _newton_groups(sys):

@@ -1,263 +1,88 @@
-"""Port-based view of a cylindrical pair between two body subsystems.
+"""Kinematic pairs as the power-preserving interconnection of body subsystems.
 
-Instead of appending constraint rows, the pair can be modeled as a
-power-preserving transformer interconnection: each body is a separate
-port-Hamiltonian subsystem with a 4-channel internal port (forces along
-the two lateral frame axes, torques about them), and the joint reaction
-intensities become the port effort shared with opposite signs. The
-resulting coupled operator triple carries the same constraint content as
-the Jacobian formulation: the port coupling matrix and the constraint
-Jacobian have identical row spans.
+Each body, with its orthonormality rows, gravity and its own loads, is a
+port-Hamiltonian system of its own (body_subsystem): state (q, v, lambda)
+of sizes 12, 12 and 6 and operators (E, J, z) from assembly.ph_operators.
+A pair joins the bodies it acts on through its port map, the column block
+of its Jacobian on each of its bodies (joints.jacobian), taken from the
+pair's table of rows alone; a ground pair has one block (port_maps). The
+pair's multipliers are the shared effort: with C the block on body k, the
+reaction -C^T lambda enters body k's momentum rows and the flow C v_k
+closes the pair's multiplier rows, so the coupled J stays skew (couple).
+The rows of a pair are its reaction channels, in the row form of Betsch
+and Leyendecker (2006) and the Dirac-structure view of van der Schaft and
+Jeltsema (Port-Hamiltonian Systems Theory, 2014).
 
-The free channels (force along and torque about the joint axis) are kept
-as external ports and are not part of the coupling.
+Coupling all subsystems through all pairs gives back the assembled system
+to rounding: the coupled (E, J, z), reordered, are ph_operators of the
+whole system, and the coupled midpoint residual is integrate's
+midpoint_residual. The index-reduced operators (ggl_operators) are not
+coupled here.
 """
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import MultibodySystem, ph_operators
-from .directors import hat, split_config
-from .joints import CompiledJoint
+from .assembly import BodyLoad, MultibodySystem, ph_operators
+from .joints import GROUND_CONFIG, jacobian
 
-__all__ = [
-    "PortDecomposition",
-    "internal_port_matrices",
-    "transformer_couple",
-    "nullspace_equivalence",
-    "body_subsystem",
-    "couple_then_discretize",
-    "discretize_then_couple",
-]
+__all__ = ["body_subsystem", "port_maps", "couple"]
 
-_SUB_SIZE = 30  # single-body subsystem state: 12 + 12 + 6
+_SUB_SIZE = 30  # single-body subsystem state (q, v, lambda): 12 + 12 + 6
 
 
-@dataclass(frozen=True)
-class PortDecomposition:
-    """Input matrices of one cylindrical pair split by port role.
+def body_subsystem(sys, k):
+    """Body k of sys as a system of its own, rebased to index 0, with the
+    loads that act on it and no pairs."""
+    loads = [BodyLoad(0, load.wrench, load.r_material) for load in sys.loads if load.body == k]
+    return MultibodySystem([dataclasses.replace(sys.bodies[k], index=0)], (), loads)
 
-    B_int_* map the four constrained wrench channels (m1-force, m2-force,
-    m1-torque, m2-torque, all in the A-side joint frame) to generalized
-    forces on each body; B_ext_* map the two unconstrained channels along
-    the joint axis. n, m1, m2 are the frame axes in inertial components at
-    the evaluated configuration.
+
+def port_maps(sys, q):
+    """Port map of every pair at q, in declaration order.
+
+    Each is a tuple of (body, C): C is the (count, 12) column block of
+    joints.jacobian of the pair on that body, evaluated on the pair's own
+    two bodies, body A first; a ground pair has body A's block only.
     """
+    maps = []
+    for joint in sys.joints:
+        q_b = GROUND_CONFIG if joint.is_ground else sys.body_config(q, joint.body_b)
+        C = jacobian(joint, sys.body_config(q, joint.body_a), q_b)
+        bodies = (joint.body_a,) if joint.is_ground else (joint.body_a, joint.body_b)
+        maps.append(tuple((k, C[:, 12 * i:12 * i + 12]) for i, k in enumerate(bodies)))
+    return maps
 
-    B_int_a: np.ndarray
-    B_int_b: np.ndarray
-    B_ext_a: np.ndarray
-    B_ext_b: np.ndarray
-    n: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
 
+def couple(sys, q, v, lam):
+    """Operators (E, J, z) of the body subsystems of sys joined through all
+    its pairs, at the system point (q, v, lam), and the order of the state.
 
-def _wrench_columns(d, anchor_weights, axes, lever_correction=None):
-    """Stack force and torque columns of the wrench map for given axes.
-
-    For each axis a the force column is (a; w_i(a)) with w_i the director
-    distribution, and the torque column distributes a pure couple.
+    The coupled state is (x_0, ..., x_{N-1}, lambda_joints) with
+    x_k = (q_k, v_k, lambda_k) body k's subsystem state. order[i] is the
+    coupled index of entry i of the assembled state (q, v, lambda), so
+    E[np.ix_(order, order)], J[np.ix_(order, order)] and z[order] are
+    ph_operators(sys, q, v, lam).
     """
-    cols = []
-    for a in axes:
-        col = np.zeros(12)
-        col[0:3] = a
-        for i in range(3):
-            w = anchor_weights[i] * a
-            if lever_correction is not None:
-                w = w - np.cross(d[i], lever_correction @ a)
-            col[3 + 3 * i:6 + 3 * i] = w
-        cols.append(col)
-    for a in axes:
-        col = np.zeros(12)
-        for i in range(3):
-            col[3 + 3 * i:6 + 3 * i] = -0.5 * np.cross(d[i], a)
-        cols.append(col)
-    return np.column_stack(cols)
-
-
-def internal_port_matrices(joint, q_a, q_b):
-    """Port decomposition of a cylindrical pair at configurations (q_A, q_B).
-
-    The A-side columns carry the moment correction for the anchor gap,
-    distributed over the directors as X_i I - (1/2) hat(d_i) hat(gap); the
-    half mirrors the usual director split of a point force (the moment of
-    a force at lever r enters the d_i rows as -(1/2) hat(d_i) hat(r)). The
-    B-side columns use its plain material anchor. Raises ValueError for
-    other pair types.
-    """
-    if joint.pair_type != "cylindrical":
-        raise ValueError(f"port decomposition requires a cylindrical pair, got {joint.pair_type}")
-    phi_a, d_a = split_config(q_a)
-    phi_b, d_b = split_config(q_b)
-    n = joint.n_local @ d_a
-    m1 = joint.m1_local @ d_a
-    m2 = joint.m2_local @ d_a
-    gap = (phi_b + joint.X_b @ d_b) - (phi_a + joint.X_a @ d_a)
-
-    B_int_a = _wrench_columns(d_a, joint.X_a, (m1, m2), lever_correction=hat(0.5 * gap))
-    B_int_b = _wrench_columns(d_b, joint.X_b, (m1, m2))
-    B_ext_a = _wrench_columns(d_a, joint.X_a, (n,), lever_correction=hat(0.5 * gap))
-    B_ext_b = _wrench_columns(d_b, joint.X_b, (n,))
-    return PortDecomposition(B_int_a, B_int_b, B_ext_a, B_ext_b, n, m1, m2)
-
-
-def _embed_port(B_tilde):
-    """Lift a 12 x k velocity-row input map to subsystem rows (q, v, lam)."""
-    B = np.zeros((_SUB_SIZE, B_tilde.shape[1]))
-    B[12:24] = B_tilde
-    return B
-
-
-def transformer_couple(ops_a, ops_b, ports, lam_joint=None):
-    """Couple two single-body operator triples through the internal ports.
-
-    The joint efforts enter subsystem A positively and subsystem B
-    negatively (shared effort, opposing flows), and the appended effort
-    balance rows close the loop, keeping the coupled J skew. Returns the
-    coupled (E, J, z) with z = (z_A, z_B, lam_joint).
-    """
-    E_a, J_a, z_a = ops_a
-    E_b, J_b, z_b = ops_b
-    if E_a.shape != (_SUB_SIZE, _SUB_SIZE) or E_b.shape != (_SUB_SIZE, _SUB_SIZE):
-        raise ValueError("transformer coupling expects single-body subsystems")
-    if ports.B_int_a.shape != (12, 4) or ports.B_int_b.shape != (12, 4):
-        raise ValueError("port dimension mismatch")
-    if lam_joint is None:
-        lam_joint = np.zeros(4)
-    lam_joint = np.asarray(lam_joint, dtype=float)
-    if lam_joint.shape != (4,):
-        raise ValueError("port dimension mismatch")
-
-    Ba = _embed_port(ports.B_int_a)
-    Bb = _embed_port(ports.B_int_b)
-    N = 2 * _SUB_SIZE + 4
-    E = np.zeros((N, N))
-    E[:_SUB_SIZE, :_SUB_SIZE] = E_a
-    E[_SUB_SIZE:2 * _SUB_SIZE, _SUB_SIZE:2 * _SUB_SIZE] = E_b
-
-    J = np.zeros((N, N))
-    J[:_SUB_SIZE, :_SUB_SIZE] = J_a
-    J[_SUB_SIZE:2 * _SUB_SIZE, _SUB_SIZE:2 * _SUB_SIZE] = J_b
-    J[:_SUB_SIZE, 2 * _SUB_SIZE:] = Ba
-    J[2 * _SUB_SIZE:, :_SUB_SIZE] = -Ba.T
-    J[_SUB_SIZE:2 * _SUB_SIZE, 2 * _SUB_SIZE:] = -Bb
-    J[2 * _SUB_SIZE:, _SUB_SIZE:2 * _SUB_SIZE] = Bb.T
-
-    z = np.concatenate([z_a, z_b, lam_joint])
-    return E, J, z
-
-
-def _null_basis(M, name, expected_rank, rank_tol):
-    _, s, Vt = np.linalg.svd(M)
-    rank = int((s > rank_tol * s[0]).sum())
-    if rank != expected_rank:
-        raise ValueError(f"{name} is rank deficient: rank {rank}, expected {expected_rank}")
-    return Vt[rank:]
-
-
-def nullspace_equivalence(ports, G_joint, q_a, q_b, rank_tol=1e-10):
-    """Mutual annihilation defect of the port matrix and joint Jacobian.
-
-    The port rows C = [-B_int_A^T, B_int_B^T] act like the joint Jacobian
-    only on rigid velocities, i.e. in the null space of the orthonormality
-    rows of both bodies (the identification of director rates with an
-    angular velocity lives there). The defect is therefore the worst
-    violation of C on an orthonormal basis of null([G_d; G_joint]) and of
-    G_joint on null([G_d; C]); a small value certifies that both matrices
-    cut the same constraint distribution out of the rigid motions. Raises
-    when the joint Jacobian or a stacked matrix loses rank.
-    """
-    from .directors import internal_constraint_gradient
-
-    C = np.hstack([-ports.B_int_a.T, ports.B_int_b.T])
-    G_int = np.zeros((12, 24))
-    G_int[:6, :12] = internal_constraint_gradient(q_a)
-    G_int[6:, 12:] = internal_constraint_gradient(q_b)
-    m_j = G_joint.shape[0]
-
-    _null_basis(G_joint, "joint Jacobian", m_j, rank_tol)
-    defect = 0.0
-    for rows, name, other in (
-        (G_joint, "stacked joint Jacobian", C),
-        (C, "stacked port matrix", G_joint),
-    ):
-        basis = _null_basis(np.vstack([G_int, rows]), name, 12 + m_j, rank_tol)
-        if basis.size:
-            defect = max(defect, float(np.abs(other @ basis.T).max()))
-    return defect
-
-
-def body_subsystem(body):
-    """Single-body system (index rebased to zero) for port-based coupling."""
-    return MultibodySystem([dataclasses.replace(body, index=0)], [])
-
-
-def _coupled_residual(E, J, z, x0, x1, h):
-    dx = x1 - x0
-    return E @ dx - h * (J @ z)
-
-
-def _split_sub(x):
-    return x[:12], x[12:24], x[24:30]
-
-
-def couple_then_discretize(sub_a, sub_b, joint, x0, x1, lam_joint_mid, h):
-    """Midpoint residual of the coupled system built by transformer_couple.
-
-    x0, x1 stack the two subsystem states (q, v, lam) each; all
-    configuration-dependent operators are evaluated at the midpoint.
-    """
-    xm = 0.5 * (x0 + x1)
-    qa, va, la = _split_sub(xm[:_SUB_SIZE])
-    qb, vb, lb = _split_sub(xm[_SUB_SIZE:2 * _SUB_SIZE])
-    ops_a = ph_operators(sub_a, qa, va, la)
-    ops_b = ph_operators(sub_b, qb, vb, lb)
-    ports = internal_port_matrices(joint, qa, qb)
-    E, J, z = transformer_couple(ops_a, ops_b, ports, lam_joint=lam_joint_mid)
-    x0_full = np.concatenate([x0, np.zeros(4)])
-    x1_full = np.concatenate([x1, np.zeros(4)])
-    return _coupled_residual(E, J, z, x0_full, x1_full, h)
-
-
-def discretize_then_couple(sub_a, sub_b, joint, x0, x1, lam_joint_mid, h):
-    """Midpoint residual of the separately discretized, then coupled system.
-
-    Each subsystem is discretized on its own with the port effort as an
-    input held at the shared midpoint value (positive into A, negative
-    into B), and the discrete collocated outputs are matched. Assembles
-    the same block structure as couple_then_discretize from the subsystem
-    pieces; the two routes must agree identically.
-    """
-    xm = 0.5 * (x0 + x1)
-    qa, va, la = _split_sub(xm[:_SUB_SIZE])
-    qb, vb, lb = _split_sub(xm[_SUB_SIZE:2 * _SUB_SIZE])
-    E_a, J_a, z_a = ph_operators(sub_a, qa, va, la)
-    E_b, J_b, z_b = ph_operators(sub_b, qb, vb, lb)
-    ports = internal_port_matrices(joint, qa, qb)
-    Ba = _embed_port(ports.B_int_a)
-    Bb = _embed_port(ports.B_int_b)
-    lam_joint_mid = np.asarray(lam_joint_mid, dtype=float)
-
-    N = 2 * _SUB_SIZE + 4
-    E = np.zeros((N, N))
-    E[:_SUB_SIZE, :_SUB_SIZE] = E_a
-    E[_SUB_SIZE:2 * _SUB_SIZE, _SUB_SIZE:2 * _SUB_SIZE] = E_b
-    J = np.zeros((N, N))
-    # subsystem A discretized with input +lam_joint on its internal port
-    J[:_SUB_SIZE, :_SUB_SIZE] = J_a
-    J[:_SUB_SIZE, 2 * _SUB_SIZE:] = Ba
-    # subsystem B discretized with input -lam_joint on its internal port
-    J[_SUB_SIZE:2 * _SUB_SIZE, _SUB_SIZE:2 * _SUB_SIZE] = J_b
-    J[_SUB_SIZE:2 * _SUB_SIZE, 2 * _SUB_SIZE:] = -Bb
-    # matching of the discrete collocated outputs y_A = y_B
-    J[2 * _SUB_SIZE:, :_SUB_SIZE] = -Ba.T
-    J[2 * _SUB_SIZE:, _SUB_SIZE:2 * _SUB_SIZE] = Bb.T
-    z = np.concatenate([z_a, z_b, lam_joint_mid])
-    x0_full = np.concatenate([x0, np.zeros(4)])
-    x1_full = np.concatenate([x1, np.zeros(4)])
-    return _coupled_residual(E, J, z, x0_full, x1_full, h)
+    nb = len(sys.bodies)
+    size = _SUB_SIZE * nb + sys.m - sys.m_internal
+    E, J, z = np.zeros((size, size)), np.zeros((size, size)), np.zeros(size)
+    for k in range(nb):
+        s = slice(_SUB_SIZE * k, _SUB_SIZE * (k + 1))
+        E[s, s], J[s, s], z[s] = ph_operators(body_subsystem(sys, k), sys.body_config(q, k),
+                                              sys.body_config(v, k), lam[6 * k:6 * k + 6])
+    row = _SUB_SIZE * nb
+    z[row:] = lam[sys.m_internal:]
+    for joint, blocks in zip(sys.joints, port_maps(sys, q)):
+        efforts = slice(row, row + joint.count)
+        for k, C in blocks:
+            flows = slice(_SUB_SIZE * k + 12, _SUB_SIZE * k + 24)
+            J[flows, efforts] = -C.T
+            J[efforts, flows] = C
+        row += joint.count
+    sub = np.arange(_SUB_SIZE * nb).reshape(nb, _SUB_SIZE)
+    order = np.concatenate([sub[:, :12].ravel(), sub[:, 12:24].ravel(), sub[:, 24:].ravel(),
+                            np.arange(_SUB_SIZE * nb, size)])
+    return E, J, z, order

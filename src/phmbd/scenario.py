@@ -119,7 +119,7 @@ def _parse_body(obj, where):
                 (), where)
     if not isinstance(obj["index"], int) or isinstance(obj["index"], bool):
         raise ScenarioError(f"{where}: index must be an integer")
-    return BodyConfig(
+    body = BodyConfig(
         index=obj["index"],
         mass=_number(obj, "mass", where),
         inertias=_vector(obj, "inertias", 3, where),
@@ -129,6 +129,12 @@ def _parse_body(obj, where):
         initial_velocity=_vector(obj, "initial_velocity", 12, where),
         multiplier=_vector(obj, "multiplier", 6, where),
     )
+    # RigidBody's own checks: positive mass, inertias obeying the triangle inequality
+    try:
+        RigidBody(body.index, body.mass, body.inertias)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+    return body
 
 
 def _parse_joint(obj, where, n_bodies):

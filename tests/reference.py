@@ -12,7 +12,10 @@ and the applied force against `loop_input_assembly`, the sum of each
 load's wrench map. `reduced_matrix` assembles the reduced Newton matrix of
 `phmbd.integrate.midpoint_linearization` from dense K - W, G and Gs; the
 library places the same values straight into the matrix, and must match
-it bit for bit.
+it bit for bit. The port maps of `phmbd.interconnect`, read off each
+pair's row table, are checked against `cylindrical_wrench_ports`, the
+physical reaction wrenches of a cylindrical pair (forces along and torques
+about the two lateral frame axes), by `nullspace_equivalence`.
 
 The constrained equations of motion are reduced to an ODE on (q, v) by
 solving the acceleration-level constraint for the multipliers,
@@ -35,6 +38,7 @@ from phmbd.assembly import (
 from phmbd.directors import (
     angular_momentum,
     external_wrench_map,
+    hat,
     internal_constraint_gradient,
     internal_constraints,
     split_config,
@@ -183,6 +187,89 @@ def reduced_matrix(sys, h, K, W, G, Gs, gamma=None):
         flat[blk.Gg_at] = Gg
         flat[blk.Q_at] -= Q
     return A
+
+
+def _wrench_columns(d, anchor_weights, axes, lever_correction=None):
+    """Stack force and torque columns of the wrench map for given axes.
+
+    For each axis a the force column is (a; w_i(a)) with w_i the director
+    distribution, and the torque column distributes a pure couple.
+    """
+    cols = []
+    for a in axes:
+        col = np.zeros(12)
+        col[0:3] = a
+        for i in range(3):
+            w = anchor_weights[i] * a
+            if lever_correction is not None:
+                w = w - np.cross(d[i], lever_correction @ a)
+            col[3 + 3 * i:6 + 3 * i] = w
+        cols.append(col)
+    for a in axes:
+        col = np.zeros(12)
+        for i in range(3):
+            col[3 + 3 * i:6 + 3 * i] = -0.5 * np.cross(d[i], a)
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+def cylindrical_wrench_ports(joint, q_a, q_b):
+    """Port rows C = [-B_A^T, B_B^T] of a cylindrical pair, shape (4, 24).
+
+    B_A and B_B map the four constrained wrench channels (m1-force,
+    m2-force, m1-torque, m2-torque, all along the A-side joint frame) to
+    generalized forces on each body. The A-side columns carry the moment
+    correction for the anchor gap, distributed over the directors as
+    X_i I - (1/2) hat(d_i) hat(gap); the half mirrors the usual director
+    split of a point force (the moment of a force at lever r enters the d_i
+    rows as -(1/2) hat(d_i) hat(r)). The B-side columns use its plain
+    material anchor.
+    """
+    assert joint.pair_type == "cylindrical"
+    phi_a, d_a = split_config(q_a)
+    phi_b, d_b = split_config(q_b)
+    axes = (joint.m1_local @ d_a, joint.m2_local @ d_a)
+    gap = (phi_b + joint.X_b @ d_b) - (phi_a + joint.X_a @ d_a)
+    B_a = _wrench_columns(d_a, joint.X_a, axes, lever_correction=hat(0.5 * gap))
+    B_b = _wrench_columns(d_b, joint.X_b, axes)
+    return np.hstack([-B_a.T, B_b.T])
+
+
+def _null_basis(M, name, expected_rank, rank_tol):
+    _, s, Vt = np.linalg.svd(M)
+    rank = int((s > rank_tol * s[0]).sum())
+    if rank != expected_rank:
+        raise ValueError(f"{name} is rank deficient: rank {rank}, expected {expected_rank}")
+    return Vt[rank:]
+
+
+def nullspace_equivalence(C, G_joint, q_a, q_b, rank_tol=1e-10):
+    """Mutual annihilation defect of port rows C and a joint Jacobian.
+
+    C acts like the joint Jacobian only on rigid velocities, i.e. in the
+    null space of the orthonormality rows of both bodies (the
+    identification of director rates with an angular velocity lives
+    there). The defect is therefore the worst violation of C on an
+    orthonormal basis of null([G_d; G_joint]) and of G_joint on
+    null([G_d; C]); a small value certifies that both matrices cut the same
+    constraint distribution out of the rigid motions. Raises when the joint
+    Jacobian or a stacked matrix loses rank.
+    """
+    G_int = np.zeros((12, 24))
+    G_int[:6, :12] = internal_constraint_gradient(q_a)
+    G_int[6:, 12:] = internal_constraint_gradient(q_b)
+    m_j = G_joint.shape[0]
+
+    _null_basis(G_joint, "joint Jacobian", m_j, rank_tol)
+    defect = 0.0
+    for rows, name, other in (
+        (G_joint, "stacked joint Jacobian", C),
+        (C, "stacked port matrix", G_joint),
+    ):
+        basis = _null_basis(np.vstack([G_int, rows]), name, 12 + m_j, rank_tol)
+        if basis.size:
+            defect = max(defect, float(np.abs(other @ basis.T).max()))
+    return defect
 
 
 def index_reduced_rhs(sys, t, y):

@@ -26,18 +26,14 @@ from phmbd.assembly import (
 from phmbd.diagnostics import conservation_report, convergence_orders, rms_error
 from phmbd.directors import internal_constraint_gradient, internal_constraints
 from phmbd.integrate import IntegratorConfig, simulate, step
-from phmbd.interconnect import (
-    body_subsystem,
-    couple_then_discretize,
-    discretize_then_couple,
-    internal_port_matrices,
-    nullspace_equivalence,
-)
+from phmbd.interconnect import port_maps
 from phmbd.joints import jacobian as joint_jacobian
 from phmbd.joints import residual as joint_residual
 from phmbd.scenario import build_system, load_scenario
 
 from conftest import cylindrical_consistent_pair, fd_jacobian
+from reference import cylindrical_wrench_ports, nullspace_equivalence
+from test_interconnect import assert_coupled_steps_are_midpoint_steps
 from test_properties import PAIR_TYPES, ConstantWrench, _moment_of, _pair_system
 
 
@@ -70,6 +66,11 @@ def slider_fine():
 @pytest.fixture(scope="module")
 def slider_coarse():
     return _timed_run("slider_crank", h=1e-2, t_end=5.0, scheme="mp")
+
+
+@pytest.fixture(scope="module")
+def closed_mp():
+    return _timed_run("closed_loop", h=0.1, t_end=10.0, scheme="mp")
 
 
 @pytest.fixture(scope="module")
@@ -142,10 +143,10 @@ def test_convergence_orders_conserved_quantities(convergence_study):
     assert max(study.errors["L"]) <= 1e-8 * np.linalg.norm(study.L0)
 
 
-def test_closed_loop_power_balance_and_momentum():
+def test_closed_loop_power_balance_and_momentum(closed_mp):
     """Injected power is accounted for step by step; after load removal
     H is constant and only the x angular-momentum component survives."""
-    sys, traj, _ = _timed_run("closed_loop", h=0.1, t_end=10.0, scheme="mp")
+    sys, traj, _ = closed_mp
     rep = conservation_report(traj, sys)
     loading = rep.t[1:] <= 1.0 + 1e-12
     assert rep.power_defect[loading].max() <= 1e-10
@@ -221,8 +222,9 @@ def test_slider_crank_displacement_step_consistency(slider_fine,
 
 
 def test_port_rows_match_joint_rows_on_rigid_motions(flying_mp):
-    """Transformer port matrices cut the same distribution as the joint
-    Jacobian at 20 random consistent configurations."""
+    """The port map read off the pair's row table and the physical-wrench
+    port rows cut the same distribution out of the rigid motions at 20
+    random consistent configurations."""
     sys, _, _ = flying_mp
     joint = sys.joints[0]
     _, state = _build("flying_pair")
@@ -230,32 +232,21 @@ def test_port_rows_match_joint_rows_on_rigid_motions(flying_mp):
     for _ in range(20):
         q_a, q_b = cylindrical_consistent_pair(
             joint, state.q[:12], state.q[12:], rng)
-        ports = internal_port_matrices(joint, q_a, q_b)
-        G_J = joint_jacobian(joint, q_a, q_b)
-        assert nullspace_equivalence(ports, G_J, q_a, q_b) <= 1e-10
+        (maps,) = port_maps(sys, np.concatenate([q_a, q_b]))
+        ports = np.hstack([C for _, C in maps])
+        C = cylindrical_wrench_ports(joint, q_a, q_b)
+        assert nullspace_equivalence(C, ports, q_a, q_b) <= 1e-10
 
 
-def test_interconnection_and_discretization_commute():
-    """Coupling two body subsystems then discretizing equals discretizing
-    then coupling, componentwise, for one flying-pair step."""
-    sys, state = _build("flying_pair")
-    traj = simulate(sys, state, IntegratorConfig(h=1e-3, t_end=1e-3))
-
-    def split(q, v, lam):
-        # per-body internal multiplier rows 0-5 / 6-11, joint rows 12-15
-        return (np.concatenate([q[:12], v[:12], lam[:6]]),
-                np.concatenate([q[12:], v[12:], lam[6:12]]), lam[12:])
-
-    xa0, xb0, _ = split(traj.q[0], traj.v[0], traj.lam[0])
-    xa1, xb1, lam_joint = split(traj.q[1], traj.v[1], traj.lam[1])
-    x0, x1 = np.concatenate([xa0, xb0]), np.concatenate([xa1, xb1])
-    sub_a = body_subsystem(sys.bodies[0])
-    sub_b = body_subsystem(sys.bodies[1])
-    r1 = couple_then_discretize(sub_a, sub_b, sys.joints[0], x0, x1,
-                                lam_joint, traj.h)
-    r2 = discretize_then_couple(sub_a, sub_b, sys.joints[0], x0, x1,
-                                lam_joint, traj.h)
-    npt.assert_allclose(r1, r2, atol=1e-14)
+def test_interconnection_and_discretization_commute(flying_mp, slider_coarse,
+                                                    closed_mp):
+    """Body subsystems coupled through the pairs, then discretized, are the
+    assembled midpoint scheme: at every step of the three bundled
+    scenarios under mp, at their own h and t_end, the coupled residual
+    equals midpoint_residual to 1e-13 and is within the Newton
+    tolerance."""
+    for sys, traj, _ in (flying_mp, slider_coarse, closed_mp):
+        assert_coupled_steps_are_midpoint_steps(sys, traj, IntegratorConfig.newton_tol)
 
 
 def test_scheme_identities_without_scenario_files():

@@ -73,6 +73,23 @@ def test_simulate_rejects_bad_integrator_input(runner, tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_non_physical_body_reports_error(runner, tmp_path, command):
+    """A negative mass: one error line, exit 1, no traceback."""
+    doc = json.loads(serialize_scenario(load_scenario("flying_pair")))
+    doc["bodies"][0]["mass"] = -1.0
+    path = tmp_path / "negative_mass.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "bad.csv"
+    args = [command, "--scenario", str(path)]
+    result = runner.invoke(main, args + (["--out", str(out)] if command == "simulate" else []))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 def test_converge_rejects_misaligned_grid(runner):
     result = runner.invoke(main, [
         "converge", "--scenario", "flying_pair", "--h", "1e-2,3e-3",

@@ -45,6 +45,12 @@ def test_parse_rejects_malformed_input():
     bad["joints"][0]["type"] = "helical"
     with pytest.raises(ScenarioError):
         parse_scenario(json.dumps(bad))
+    # RigidBody's checks reject a bad mass or inertia triple while parsing
+    for field, value in (("mass", -1.0), ("mass", 0.0), ("inertias", [1.0, 1.0, 3.0])):
+        bad = json.loads(serialize_scenario(load_scenario("flying_pair")))
+        bad["bodies"][1][field] = value
+        with pytest.raises(ScenarioError, match="body entry 1: "):
+            parse_scenario(json.dumps(bad))
 
 
 def test_flying_pair_setup_data(flying_pair):
