@@ -51,8 +51,8 @@ Construction also groups the bodies that H couples
 those groups one by one or solves one dense system (_blocks_pay). For the
 former it builds, per group size, the scatter maps from the patterns into
 the groups' blocks (_GroupBlocks); the maps into the dense reduced
-matrices of either scheme are built on first use (_DenseBlocks,
-_AugmentedBlocks).
+matrices of either scheme, and the arrays those are assembled in, are
+built on first use (_DenseBlocks, _AugmentedBlocks).
 """
 from __future__ import annotations
 
@@ -410,7 +410,8 @@ class _DenseBlocks:
     the loads' blocks W (in the order of _input_map_blocks) to its bin of
     that union, diag_bins the diagonal, and KW_at places the bins in the
     array. The (u, lambda) block h G^T and the (lambda, u) block (h/2) Gs
-    take the values on the pattern of G at GT_at and Gs_at.
+    take the values on the pattern of G at GT_at and Gs_at. A is the array,
+    overwritten whole by every use (integrate._reduced_matrix).
     """
 
     def __init__(self, sys, s):
@@ -426,6 +427,7 @@ class _DenseBlocks:
         self.KW_at = row * s + col
         self.GT_at = Gp.col * s + n + Gp.row
         self.Gs_at = (n + Gp.row) * s + Gp.col
+        self.A = np.empty((s, s))
 
 
 class _AugmentedBlocks(_DenseBlocks):

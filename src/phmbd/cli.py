@@ -39,8 +39,10 @@ def _fail(message):
 
 
 def _load(scenario):
+    """(config, system, initial state) of a scenario, or one error line."""
     try:
-        return load_scenario(scenario)
+        config = load_scenario(scenario)
+        return (config, *build_system(config))
     except ScenarioError as exc:
         _fail(exc)
 
@@ -60,10 +62,9 @@ def _integrator(scheme, tol, h, t_end):
               help="CSV output path; a .json sidecar is written next to it.")
 def simulate_cmd(scenario, scheme, tol, h, t_end, out):
     """Run one scenario and write the trajectory CSV plus a JSON summary."""
-    config = _load(scenario)
+    config, system, state0 = _load(scenario)
     h = config.h if h is None else h
     integ = _integrator(scheme, tol, h, config.t_end if t_end is None else t_end)
-    system, state0 = build_system(config)
 
     started = time.perf_counter()
     traj = simulate(system, state0, integ)
@@ -98,21 +99,17 @@ def simulate_cmd(scenario, scheme, tol, h, t_end, out):
               help="Optional JSON output with errors and slopes.")
 def converge(scenario, scheme, tol, h_list, ref_h, tbar, out):
     """Convergence study against a fine-step reference solution."""
-    config = _load(scenario)
+    _, system, state0 = _load(scenario)
     try:
         steps = [float(tok) for tok in h_list.split(",") if tok]
     except ValueError:
         _fail("--h must be a comma-separated list of numbers")
     ref_integ, *integs = [_integrator(scheme, tol, h, tbar) for h in [ref_h] + steps]
 
-    def run(integ):
-        system, state0 = build_system(config)
-        return simulate(system, state0, integ)
-
-    ref = run(ref_integ)
+    ref = simulate(system, state0, ref_integ)
     errors = {name: [] for name in ("q", "v", "lam", "H", "L")}
     for h, integ in zip(steps, integs):
-        traj = run(integ)
+        traj = simulate(system, state0, integ)
         if not traj.completed:
             click.echo(json.dumps({"failure": traj.failure, "h": h}))
             sys.exit(1)
@@ -137,7 +134,7 @@ def converge(scenario, scheme, tol, h_list, ref_h, tbar, out):
 @click.option("--scenario", default="slider_crank", show_default=True)
 def init_velocities(scenario):
     """Re-derive the slider-crank initial velocities from its joints."""
-    config = _load(scenario)
+    config = _load(scenario)[0]
     joints = {j.type: j for j in config.joints}
     needed = {"revolute", "spherical", "universal", "prismatic"}
     if set(joints) != needed or len(config.joints) != 4 or len(config.bodies) != 3:
@@ -182,8 +179,7 @@ def init_velocities(scenario):
 @click.option("--scenario", required=True)
 def validate(scenario):
     """Parse a scenario, check consistency, and report its dimensions."""
-    config = _load(scenario)
-    system, state0 = build_system(config)
+    config, system, state0 = _load(scenario)
     max_g, max_gv = consistency(system, state0.q, state0.v)
     click.echo(f"{config.name}: {len(config.bodies)} bodies, {len(config.joints)} joints, "
                f"n={system.n}, m={system.m}")

@@ -50,7 +50,7 @@ def euler_values(inertias):
         0.5 * (J[2] + J[0] - J[1]),
         0.5 * (J[0] + J[1] - J[2]),
     ])
-    if np.any(E <= 0.0):
+    if not np.all(E > 0.0):  # NaN included
         raise ValueError(
             f"inertias {J.tolist()} violate the triangle inequality; "
             f"Euler values {E.tolist()} must all be positive"
@@ -81,7 +81,7 @@ class RigidBody:
         object.__setattr__(self, "inertias", np.asarray(self.inertias, dtype=float))
         object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float))
         object.__setattr__(self, "dimensions", np.asarray(self.dimensions, dtype=float))
-        if self.mass <= 0.0:
+        if not self.mass > 0.0:  # NaN included
             raise ValueError(f"body {self.index}: mass must be positive, got {self.mass}")
         # raises on non-physical inertia triples
         object.__setattr__(self, "euler_values", euler_values(self.inertias))

@@ -186,7 +186,7 @@ def midpoint_residual(sys, state, y, h):
     return midpoint_linearization(sys, state, y, h)[0]
 
 
-def midpoint_linearization(sys, state, y, h, out=None):
+def midpoint_linearization(sys, state, y, h):
     """Residual of one midpoint step at y and its Newton update, either
     scheme.
 
@@ -246,16 +246,16 @@ def midpoint_linearization(sys, state, y, h, out=None):
     (assembly._AugmentedBlocks), with no dense product. Each path uses
     exactly one np.linalg.solve.
 
-    out, if given, is an (n + m, n + m) array, (n + 2m, n + 2m) for the
-    augmented scheme, the reduced matrix is assembled in on the dense
-    path, overwriting it; the block path does not use it. step passes one
-    such array to every Newton iteration of a step. A fresh array above
-    glibc's mmap threshold (128 kB) is page-faulted in on every fill: on a
-    24-body chain solved densely (a 2 MB matrix, 2-vCPU Xeon VM, glibc
-    2.36) reusing it cut the step time by a third. The block path builds
-    no (n, n), (m, n) or (n, mj) array and reuses its group buffers; on
-    the same chain it takes no minor page faults per step, against ~1700
-    when it gathered its blocks from the dense K(lambda), G and D.
+    The dense path assembles the reduced matrix in one (n + m) or
+    (n + 2m) square array kept with the system (assembly._DenseBlocks,
+    assembly._AugmentedBlocks), overwriting it on every call, as the block
+    path does its group buffers; so one system is stepped by one thread at
+    a time. A fresh array above glibc's mmap threshold (128 kB) is
+    page-faulted in on every fill: on a 24-body chain solved densely (a
+    2 MB matrix, 2-vCPU Xeon VM, glibc 2.36) reusing one cut the step time
+    by a third. The block path builds no (n, n), (m, n) or (n, mj) array;
+    on the same chain it takes no minor page faults per step, against
+    ~1700 when it gathered its blocks from the dense K(lambda), G and D.
     """
     n, m = sys.n, sys.m
     lam = y[2 * n:2 * n + m]
@@ -294,7 +294,7 @@ def midpoint_linearization(sys, state, y, h, out=None):
         if gamma is None and sys._newton_blocks is not None:
             x = _block_solve(sys, sys._newton_blocks, h, K, G, Gs, W, np.concatenate(b))
         else:
-            x = np.linalg.solve(_reduced_matrix(sys, h, K, W, G, Gs, out, gamma),
+            x = np.linalg.solve(_reduced_matrix(sys, h, K, W, G, Gs, gamma),
                                 np.concatenate(b))
         u = x[:n]
         dq = (0.5 * h) * u - r_q
@@ -306,8 +306,10 @@ def midpoint_linearization(sys, state, y, h, out=None):
     return r, update
 
 
-def _reduced_matrix(sys, h, K, W, G, Gs, out=None, gamma=None):
-    """The reduced Newton matrix of midpoint_linearization, assembled in out.
+def _reduced_matrix(sys, h, K, W, G, Gs, gamma=None):
+    """The reduced Newton matrix of midpoint_linearization, assembled in the
+    system's buffer of its size (the A of assembly._DenseBlocks or
+    assembly._AugmentedBlocks), which it overwrites and returns.
 
     K = K(lambda) on its pattern, W the loads' director blocks
     (assembly._input_map_blocks, None without loads), and G = G(q_mid) and
@@ -326,7 +328,7 @@ def _reduced_matrix(sys, h, K, W, G, Gs, out=None, gamma=None):
     (h^2/4)(K - W) + M needs no dense K, W or G.
     """
     blk = sys._dense_blocks if gamma is None else sys._augmented_blocks
-    A = np.empty((blk.size, blk.size)) if out is None else out
+    A = blk.A
     A.fill(0.0)
     flat = A.ravel()
     KW = np.bincount(blk.KW_bins, K if W is None else np.concatenate([K, -W.ravel()]),
@@ -600,21 +602,18 @@ def step(sys, state, config, guess=None):
     plain scheme solves an (n + m) linear system per Newton iteration, with
     q_next eliminated, densely or group by group, and the augmented scheme
     a dense (n + 2m) one, with q_next and v_next eliminated (see
-    midpoint_linearization). Each dense reduced matrix is assembled in one
-    array per step. The augmented corrector starts from one plain-midpoint
-    iteration on guess (see _midpoint_start); any gamma entries in guess
-    are ignored, and that iteration is included in the count. The
-    converged midpoint multipliers are stored on the returned state.
+    midpoint_linearization). Each dense reduced matrix is assembled in an
+    array kept with the system. The augmented corrector starts from one
+    plain-midpoint iteration on guess (see _midpoint_start); any gamma
+    entries in guess are ignored, and that iteration is included in the
+    count. The converged midpoint multipliers are stored on the returned
+    state.
     Raises IntegrationError when the corrector fails.
     """
     n, m = sys.n, sys.m
     scheme = config.scheme
     h = config.h
-    if scheme == "mp":
-        work = np.empty((n + m, n + m)) if sys._newton_blocks is None else None
-    else:
-        work = np.empty((n + 2 * m, n + 2 * m))
-    linearize = lambda y: midpoint_linearization(sys, state, y, h, out=work)
+    linearize = lambda y: midpoint_linearization(sys, state, y, h)
 
     if guess is None:
         guess = _default_guess(state, h)

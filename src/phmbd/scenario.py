@@ -6,19 +6,22 @@ package: flying_pair, closed_loop, and slider_crank. Scenario names are
 resolved against the directories in the MBD_SCENARIO_PATH environment
 variable first, then against the bundled files, and an explicit file path
 always wins.
+
+parse_scenario checks the document; build_system checks the initial state,
+from the exact g(q) that assembly.consistency reports too.
 """
 
 import dataclasses
 import importlib.resources
 import json
+import math
 import os
 
 import numpy as np
 
-from .assembly import BodyLoad, MultibodySystem, SystemState
-from .directors import RigidBody, hat, internal_constraints, split_config
-from .joints import (GROUND_CONFIG, PAIR_CONSTRAINT_COUNTS, JointError,
-                     JointSpec, compile_joint, residual)
+from .assembly import BodyLoad, MultibodySystem, SystemState, _constraint_values
+from .directors import RigidBody, hat
+from .joints import PAIR_CONSTRAINT_COUNTS, JointError, JointSpec, compile_joint
 
 __all__ = [
     "ScenarioError",
@@ -101,15 +104,20 @@ def _vector(obj, key, length, where):
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise ScenarioError(f"{where}: {key} must be a list of {length} numbers")
     try:
-        return tuple(float(x) for x in value)
+        numbers = tuple(float(x) for x in value)
     except (TypeError, ValueError):
         raise ScenarioError(f"{where}: {key} must contain only numbers") from None
+    if not all(map(math.isfinite, numbers)):
+        raise ScenarioError(f"{where}: {key} must be finite")
+    return numbers
 
 
 def _number(obj, key, where):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: {key} must be a number")
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}: {key} must be finite")
     return float(value)
 
 
@@ -184,38 +192,12 @@ def _parse_load(obj, where, n_bodies):
                       peak=_number(obj, "peak", where), t_peak=t_peak, t_off=t_off)
 
 
-def _validate_initial_state(config):
-    """Initial configurations must sit on the constraint manifold."""
-    configs = {}
-    for body in config.bodies:
-        q = np.asarray(body.initial_position)
-        configs[body.index] = q
-        g = internal_constraints(q)
-        row = int(np.argmax(np.abs(g)))
-        if abs(g[row]) > CONSISTENCY_TOL:
-            raise ScenarioError(
-                f"body {body.index}: internal constraint row {row + 1} violated "
-                f"by {g[row]:.3e} in the initial position")
-    for k, joint_cfg in enumerate(config.joints):
-        where = f"joint {k} ({joint_cfg.type})"
-        spec = JointSpec(joint_cfg.type, *joint_cfg.body_indices,
-                         np.asarray(joint_cfg.joint_location),
-                         None if joint_cfg.reference_axis is None
-                         else np.asarray(joint_cfg.reference_axis))
-        try:
-            compiled = compile_joint(spec, configs)
-        except JointError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
-        q_b = np.asarray(GROUND_CONFIG) if compiled.is_ground else configs[spec.body_b]
-        g = residual(compiled, configs[spec.body_a], q_b)
-        worst = float(np.abs(g).max()) if g.size else 0.0
-        if worst > CONSISTENCY_TOL:
-            raise ScenarioError(
-                f"{where}: initial configuration violates the pair by {worst:.3e}")
-
-
 def parse_scenario(text):
-    """Parse and validate a scenario document, returning a ScenarioConfig."""
+    """Parse a scenario document into a ScenarioConfig.
+
+    Checks the document only: fields, types, finite numbers, ranges, pair
+    types, and each body's mass and inertias. Raises ScenarioError.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -248,10 +230,8 @@ def parse_scenario(text):
     if h <= 0 or t_end <= 0:
         raise ScenarioError("integrator: h and t_end must be positive")
 
-    config = ScenarioConfig(name=str(doc["name"]), bodies=bodies, joints=joints,
-                            loads=loads, h=h, t_end=t_end)
-    _validate_initial_state(config)
-    return config
+    return ScenarioConfig(name=str(doc["name"]), bodies=bodies, joints=joints,
+                          loads=loads, h=h, t_end=t_end)
 
 
 def serialize_scenario(config):
@@ -310,19 +290,40 @@ def _ramp_decay(load):
 
 
 def build_system(config):
-    """Instantiate (MultibodySystem, initial SystemState) from a config."""
+    """Instantiate (MultibodySystem, initial SystemState) from a config.
+
+    Compiles each pair once, then requires every row of g(q0), from the
+    system's exact constraint constants, within CONSISTENCY_TOL. Raises
+    ScenarioError naming the pair that fails to compile, or the worst row
+    (a NaN one first) as "body k: internal constraint row r" or
+    "joint k (type): row r of the pair".
+    """
     bodies = [RigidBody(b.index, b.mass, b.inertias, gravity=b.gravity,
                         dimensions=b.dimensions) for b in config.bodies]
     configs = {b.index: np.asarray(b.initial_position) for b in config.bodies}
     joints = []
-    for j in config.joints:
+    for k, j in enumerate(config.joints):
         spec = JointSpec(j.type, *j.body_indices, np.asarray(j.joint_location),
                          None if j.reference_axis is None else np.asarray(j.reference_axis))
-        joints.append(compile_joint(spec, configs))
+        try:
+            joints.append(compile_joint(spec, configs))
+        except JointError as exc:
+            raise ScenarioError(f"joint {k} ({j.type}): {exc}") from exc
     loads = [BodyLoad(l.body, _ramp_decay(l), np.zeros(3)) for l in config.loads]
     system = MultibodySystem(bodies, joints, loads=loads)
 
     q0 = np.concatenate([np.asarray(b.initial_position) for b in config.bodies])
+    g, _ = _constraint_values(system, q0)
+    row = int(np.argmax(np.abs(g)))  # the first NaN row, if there is one
+    if not abs(g[row]) <= CONSISTENCY_TOL:
+        if row < system.m_internal:
+            where = f"body {row // 6}: internal constraint row {row % 6 + 1}"
+        else:
+            starts = np.cumsum([system.m_internal] + [j.count for j in joints])
+            k = int(np.searchsorted(starts, row, side="right")) - 1
+            where = f"joint {k} ({joints[k].pair_type}): row {row - starts[k] + 1} of the pair"
+        raise ScenarioError(f"{where} violated by {abs(g[row]):.3e} in the initial position")
+
     v0 = np.concatenate([np.asarray(b.initial_velocity) for b in config.bodies])
     lam0 = np.zeros(system.m)
     lam0[:6 * len(bodies)] = np.concatenate([np.asarray(b.multiplier)

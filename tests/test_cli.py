@@ -73,21 +73,42 @@ def test_simulate_rejects_bad_integrator_input(runner, tmp_path, args):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["validate", "simulate"])
-def test_non_physical_body_reports_error(runner, tmp_path, command):
-    """A negative mass: one error line, exit 1, no traceback."""
-    doc = json.loads(serialize_scenario(load_scenario("flying_pair")))
-    doc["bodies"][0]["mass"] = -1.0
-    path = tmp_path / "negative_mass.json"
+def _rejected_by(runner, tmp_path, command, doc):
+    """Run command on doc: one error line, exit 1, no traceback, no output
+    file."""
+    path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "bad.csv"
     args = [command, "--scenario", str(path)]
     result = runner.invoke(main, args + (["--out", str(out)] if command == "simulate" else []))
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert "error:" in result.output
+    assert result.output.startswith("error:") and result.output.count("\n") == 1
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, mass", [
+    pytest.param("validate", -1.0, id="validate"),
+    pytest.param("simulate", -1.0, id="simulate"),
+    pytest.param("validate", float("nan"), id="validate-nan"),
+    pytest.param("simulate", float("nan"), id="simulate-nan"),
+])
+def test_non_physical_body_reports_error(runner, tmp_path, command, mass):
+    """A negative or NaN mass: one error line, exit 1, no traceback."""
+    doc = json.loads(serialize_scenario(load_scenario("flying_pair")))
+    doc["bodies"][0]["mass"] = mass
+    _rejected_by(runner, tmp_path, command, doc)
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "init-velocities"])
+def test_off_manifold_initial_state_reports_error(runner, tmp_path, command):
+    """A director off the orthonormality manifold passes parsing and is
+    rejected when the system is built, by every command that loads a
+    scenario."""
+    doc = json.loads(serialize_scenario(load_scenario("slider_crank")))
+    doc["bodies"][1]["initial_position"][3] += 1e-4
+    _rejected_by(runner, tmp_path, command, doc)
 
 
 def test_converge_rejects_misaligned_grid(runner):

@@ -91,9 +91,9 @@ def test_reduced_midpoint_update_matches_full_solve(scenario, h, request):
     dy = update()
     dy_full = np.linalg.solve(midpoint_jacobian(sys, state, y, h), -r)
     assert np.abs(dy - dy_full).max() <= 1e-12 * np.abs(dy_full).max()
-    # a reused work array is overwritten entirely, stale entries included
-    work = np.full((sys.n + sys.m, sys.n + sys.m), np.nan)
-    npt.assert_array_equal(midpoint_linearization(sys, state, y, h, out=work)[1](), dy)
+    # the system's reused dense array is overwritten entirely, stale entries included
+    sys._dense_blocks.A.fill(np.nan)
+    npt.assert_array_equal(midpoint_linearization(sys, state, y, h)[1](), dy)
 
 
 def test_ggl_jacobian_matches_fd(flying_pair):
@@ -159,9 +159,9 @@ def test_ggl_linearization_shares_midpoint_terms(scenario, h, request):
     dy = update()
     dy_full = np.linalg.solve(ggl_jacobian(sys, state, y, h), -r)
     assert np.abs(dy - dy_full).max() <= 1e-12 * np.abs(dy_full).max()
-    # a reused work array is overwritten entirely, stale entries included
-    work = np.full((sys.n + 2 * sys.m,) * 2, np.nan)
-    npt.assert_array_equal(midpoint_linearization(sys, state, y, h, out=work)[1](), dy)
+    # the system's reused augmented array is overwritten entirely, stale entries included
+    sys._augmented_blocks.A.fill(np.nan)
+    npt.assert_array_equal(midpoint_linearization(sys, state, y, h)[1](), dy)
 
 
 @pytest.mark.parametrize("scenario, h", [

@@ -128,7 +128,7 @@ def test_dense_matrix_is_the_dense_formula(scheme, name, h, request, monkeypatch
     """The dense path places the pattern values straight into the reduced
     matrix; it equals reference.reduced_matrix, which scatters dense K - W,
     G and Gs first, bit for bit, and overwrites every stale entry of the
-    work array it is given."""
+    array kept with the system."""
     rng = np.random.default_rng(SEED)
     sys, state = _system(name, request, rng)
     y = _random_iterate(sys, state, h, rng)
@@ -144,8 +144,10 @@ def test_dense_matrix_is_the_dense_formula(scheme, name, h, request, monkeypatch
         return A
 
     monkeypatch.setattr(integrate, "_reduced_matrix", recording)
-    midpoint_linearization(sys, state, y, h, out=np.full((size, size), np.nan))[1]()
-    [((_, h_, K, W, G, Gs, _, gamma), A)] = calls
+    blocks = sys._dense_blocks if scheme == "mp" else sys._augmented_blocks
+    blocks.A.fill(np.nan)
+    midpoint_linearization(sys, state, y, h)[1]()
+    [((_, h_, K, W, G, Gs, gamma), A)] = calls
     assert A.shape == (size, size) and (gamma is None) == (scheme == "mp")
     npt.assert_array_equal(A, reduced_matrix(sys, h_, K, W, G, Gs, gamma))
 

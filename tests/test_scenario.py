@@ -1,13 +1,16 @@
 """Scenario configs: parsing, builtin data, and initial-velocity solving."""
+import dataclasses
 import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from phmbd import scenario
 from phmbd.assembly import consistency
 from phmbd.diagnostics import conservation_report
 from phmbd.integrate import IntegratorConfig, simulate
+from phmbd.joints import compile_joint
 from phmbd.scenario import (
     ScenarioError,
     build_system,
@@ -51,6 +54,89 @@ def test_parse_rejects_malformed_input():
         bad["bodies"][1][field] = value
         with pytest.raises(ScenarioError, match="body entry 1: "):
             parse_scenario(json.dumps(bad))
+    # NaN and infinite numbers anywhere in the document
+    nan, inf = float("nan"), float("inf")
+    for path, value in (
+            (("bodies", 0, "mass"), nan),
+            (("bodies", 0, "inertias", 2), nan),
+            (("bodies", 1, "initial_position", 0), nan),  # centre of mass
+            (("bodies", 1, "initial_position", 3), nan),  # director
+            (("bodies", 1, "initial_velocity", 1), inf),
+            (("bodies", 0, "gravity", 2), nan),
+            (("joints", 0, "joint_location", 0), nan),
+            (("integrator", "h"), nan),
+            (("integrator", "t_end"), inf)):
+        bad = json.loads(serialize_scenario(load_scenario("flying_pair")))
+        parent = bad
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ScenarioError, match="must be finite"):
+            parse_scenario(json.dumps(bad))
+
+
+def _off_free_director(doc):
+    doc["joints"] = []
+    doc["bodies"][1]["initial_position"][4] = 1e-5  # d1 . d2
+
+
+def _off_jointed_director(doc):
+    doc["bodies"][1]["initial_position"][4] = 1e-5
+
+
+def _long_reference_axis(doc):
+    doc["joints"][0]["reference_axis"] = [0.0, 0.0, 2.0]
+
+
+def _amplified_pair_row(doc):
+    # within 1e-6 on every orthonormality row of body 0, but the anchor
+    # pulled back through its directors misses by 8e-7 per metre
+    position = doc["bodies"][0]["initial_position"]
+    position[3:] = [(1.0 + 4e-7) * x for x in position[3:]]
+    doc["joints"][0]["joint_location"] = [10.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("perturb, message", [
+    (_off_free_director, r"^body 1: internal constraint row 4 violated by 1\.000e-05"),
+    (_off_jointed_director, r"^joint 0 \(cylindrical\): body 1: director triad violates"),
+    (_long_reference_axis, r"^joint 0 \(cylindrical\): reference axis must be a unit"),
+    (_amplified_pair_row, r"^joint 0 \(cylindrical\): row 1 of the pair violated by 8\.000e-06"),
+], ids=["free_body", "jointed_body", "reference_axis", "pair_row"])
+def test_build_system_rejects_inconsistent_initial_state(perturb, message):
+    """The document parses; building the system names the body row or the
+    pair that the initial state violates."""
+    doc = json.loads(serialize_scenario(load_scenario("flying_pair")))
+    perturb(doc)
+    config = parse_scenario(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=message):
+        build_system(config)
+
+
+def test_build_system_rejects_nan_initial_state():
+    """A configuration built without parsing: the NaN row is the worst."""
+    config = load_scenario("flying_pair")
+    body = config.bodies[1]
+    position = (float("nan"),) + body.initial_position[1:]
+    bodies = (config.bodies[0], dataclasses.replace(body, initial_position=position))
+    with pytest.raises(ScenarioError, match=r"^joint 0 \(cylindrical\): row 1 of the pair "
+                                            r"violated by nan"):
+        build_system(dataclasses.replace(config, bodies=bodies))
+
+
+def test_each_pair_compiles_once_when_built(monkeypatch):
+    """parse_scenario compiles no pair; build_system compiles each once."""
+    calls = []
+
+    def counting(spec, configs):
+        calls.append(spec)
+        return compile_joint(spec, configs)
+
+    monkeypatch.setattr(scenario, "compile_joint", counting)
+    text = serialize_scenario(load_scenario("slider_crank"))
+    config = parse_scenario(text)
+    assert calls == []
+    build_system(config)
+    assert [spec.pair_type for spec in calls] == [j.type for j in config.joints]
 
 
 def test_flying_pair_setup_data(flying_pair):
