@@ -46,13 +46,13 @@ The constants are exact: every row is a dot-product row of a table, the
 pairs' (phmbd.joints) and the six orthonormality rows of each body
 (_ORTHONORMALITY) alike, and g0, G0 and H are written from the tables
 directly (_constant_tensors), with zeros wherever the tables have them.
-Construction also groups the bodies that H couples
-(_newton_groups) and decides once whether the mp Newton update eliminates
-those groups one by one or solves one dense system (_blocks_pay). For the
-former it builds, per group size, the scatter maps from the patterns into
-the groups' blocks (_GroupBlocks); the maps into the dense reduced
-matrices of either scheme, and the arrays those are assembled in, are
-built on first use (_DenseBlocks, _AugmentedBlocks).
+Construction also groups the bodies that H couples (_newton_groups) and
+decides once whether the mp Newton update eliminates those groups one by
+one or solves one dense system (_blocks_pay). One map places the pattern
+values and the loads' blocks in either (_GroupBlocks): built per group
+size for the former; for the dense matrix it is the one group of every
+velocity and multiplier, built on first use, and the mp-ggl matrix adds
+its gamma blocks to that group at size n + 2m (_AugmentedBlocks).
 """
 from __future__ import annotations
 
@@ -196,8 +196,9 @@ class MultibodySystem:
 
     @cached_property
     def _dense_blocks(self):
-        """_DenseBlocks of the dense mp update, built on first use."""
-        return _DenseBlocks(self, self.n + self.m)
+        """_GroupBlocks of the dense mp update, one group of every velocity
+        and multiplier, built on first use."""
+        return _GroupBlocks(self, np.arange(self.n)[None], np.arange(self.m)[None])
 
     @cached_property
     def _augmented_blocks(self):
@@ -332,113 +333,110 @@ def _newton_groups(sys):
 
 
 class _GroupBlocks:
-    """Where the mp Newton update of the k groups of one size comes from.
+    """Where the reduced Newton matrix of midpoint_linearization takes the
+    pattern values, for the k groups of one size.
 
-    Each group holds b bodies: nv = 12 b velocities and nm = 6 b
-    orthonormality multipliers, at positions idx[g] = (vel[g], n + mult[g])
-    of (v, lambda), s = nv + nm unknowns in all. With h G_joint^T and
-    (h/2) Gs_joint the joint rows of the reduced matrix, the update needs
-    per group
+    Group g holds the nv velocities vel[g] and the nm multipliers mult[g],
+    the unknowns idx[g] = (vel[g], n + mult[g]) of (u, lambda), in a square
+    block of size s (nv + nm unless given). Every other multiplier row is
+    a joint row. Per group
 
-        A_g  (s, s):   [[M + (h^2/4)(K - W), h G_int^T], [(h/2) Gs_int, 0]],
-        B_g  (nv, wj): h G_joint^T on the group's velocities,
-        C_g  (wj, nv): (h/2) Gs_joint on the group's velocities,
+        A_g  (s, s):   [[M + (h^2/4)(K - W), h G_in^T], [(h/2) Gs_in, 0]],
+        B_g  (nv, wj): h G_out^T on the group's velocities,
+        C_g  (wj, nv): (h/2) Gs_out on the group's velocities,
 
-    over the joint rows that touch the group, padded to a common width wj
-    (_joint_slots). No entry of K couples two groups and every
-    orthonormality row lies in its body, so each entry of the K pattern and
-    each internal entry of the G pattern in the groups' columns falls in
-    one saddle block. Each map pairs entries of a pattern with flat
-    positions in A, B or C: K_entries -> K_at, G_int -> GT_at and Gs_at,
-    G_joint -> B_at and C_at. schur_at places C_g A_g^-1 B_g in the
-    (mj, mj) Schur matrix (mj^2 for padding), and loads lists (load, group,
-    offset of the body's directors) of the loaded bodies. A, B and C are
-    the buffers, reused by every Newton iteration; B and C are zero
-    outside their maps. Being kept with the system, they let one system be
-    stepped by only one thread at a time.
+    with G_in on the group's own rows and G_out on the joint rows that
+    touch the group, padded to a common width wj (_joint_slots). The dense
+    reduced matrix is A[0] of the one group of every velocity and
+    multiplier, where wj = 0.
+
+    No entry of K, W or an orthonormality row couples two groups. K - W and
+    M are summed on one union pattern with the diagonal: KW_bins sends the
+    entries KW_entries of K stacked over the loads' blocks to their bins,
+    diag_bins the diagonal, and KW_at places the bins; G_in goes to GT_at
+    and Gs_at, G_out to B_at and C_at. A selection of a whole pattern is a
+    full slice. schur_at places C_g A_g^-1 B_g in the (mj, mj) Schur matrix
+    (mj^2 for padding). fill overwrites the buffers A, B and C, kept with
+    the system, so one system is stepped by one thread at a time; B and C
+    are zero outside their maps.
     """
 
-    def __init__(self, sys, vel, mult):
-        n, mi = sys.n, sys.m_internal
-        mj = sys.m - mi
+    def __init__(self, sys, vel, mult, size=None):
+        n, m = sys.n, sys.m
+        mj = m - sys.m_internal
         (k, nv), nm = vel.shape, mult.shape[1]
-        s = nv + nm
+        s = nv + nm if size is None else size
         self.vel, self.mult, self.nv = vel, mult, nv
         self.idx = np.concatenate([vel, n + mult], axis=1)
-        self.mass = sys.mass_diag[vel]
-        # group and local index of each velocity and orthonormality row,
-        # -1 outside these groups
+        self.mass = sys.mass_diag[vel].ravel()
+        # group and local index of each velocity and multiplier row, -1
+        # outside these groups
         group, local = np.full(n, -1), np.full(n, -1)
         group[vel], local[vel] = np.arange(k)[:, None], np.arange(nv)
-        row_local = np.full(mi, -1)
+        row_local = np.full(m, -1)
         row_local[mult] = nv + np.arange(nm)
+        inside = row_local >= 0
 
         Kp, Gp = sys._K_pattern, sys._G_pattern
-        self.K_entries = np.flatnonzero(group[Kp.row] >= 0)
-        a, b = Kp.row[self.K_entries], Kp.col[self.K_entries]
-        self.K_at = (group[a] * s + local[a]) * s + local[b]
+        rows = np.concatenate([Kp.row, sys._load_rows])
+        cols = np.concatenate([Kp.col, sys._load_cols])
+        KW = np.flatnonzero(group[rows] >= 0)
+        a = np.concatenate([rows[KW], vel.ravel()])
+        b = np.concatenate([cols[KW], vel.ravel()])
+        self.KW_at, bins = np.unique((group[a] * s + local[a]) * s + local[b],
+                                     return_inverse=True)
+        self.KW_bins, self.diag_bins = np.split(bins, [KW.size])
+        self.KW_entries = KW if KW.size < rows.size else slice(None)
 
-        self.G_int = np.flatnonzero((Gp.row < mi) & (group[Gp.col] >= 0))
-        a, r = Gp.col[self.G_int], Gp.row[self.G_int]
+        G_in = np.flatnonzero(inside[Gp.row] & (group[Gp.col] >= 0))
+        a, r = Gp.col[G_in], Gp.row[G_in]
         self.GT_at = (group[a] * s + local[a]) * s + row_local[r]
         self.Gs_at = (group[a] * s + row_local[r]) * s + local[a]
+        self.G_in = G_in if G_in.size < Gp.flat.size else slice(None)
 
-        self.G_joint, slot, self.joint = _joint_slots(sys, group)
+        self.G_out, slot, self.joint = _joint_slots(sys, group, inside)
         wj = self.joint.shape[1]
-        a = Gp.col[self.G_joint]
+        a = Gp.col[self.G_out]
         self.B_at = (group[a] * nv + local[a]) * wj + slot
         self.C_at = (group[a] * wj + slot) * nv + local[a]
         real = self.joint < mj
         self.schur_at = np.where(real[:, :, None] & real[:, None, :],
                                  self.joint[:, :, None] * mj + self.joint[:, None, :],
                                  mj * mj)
-        self.loads = [(l, group[12 * body], local[12 * body] + 3)
-                      for l, body in enumerate(sys._load_bodies) if group[12 * body] >= 0]
 
         self.A = np.empty((k, s, s))
         self.B = np.zeros((k, nv, wj))
         self.C = np.zeros((k, wj, nv))
 
-
-class _DenseBlocks:
-    """Where the values of the reduced Newton matrix go in a dense (s, s)
-    array, with the unknowns (u, lambda) at offsets 0 and n.
-
-    The (u, u) block (h^2/4)(K - W) + M takes its values on one pattern
-    fixed here: the union of the pattern of K, the loads' director blocks
-    and the diagonal. KW_bins sends each entry of K and then each entry of
-    the loads' blocks W (in the order of _input_map_blocks) to its bin of
-    that union, diag_bins the diagonal, and KW_at places the bins in the
-    array. The (u, lambda) block h G^T and the (lambda, u) block (h/2) Gs
-    take the values on the pattern of G at GT_at and Gs_at. A is the array,
-    overwritten whole by every use (integrate._reduced_matrix).
-    """
-
-    def __init__(self, sys, s):
-        n = sys.n
-        Kp, Gp = sys._K_pattern, sys._G_pattern
-        loads = sys._load_rows * n + sys._load_cols
-        flat, bins = np.unique(np.concatenate([Kp.flat, loads, np.arange(n) * (n + 1)]),
-                               return_inverse=True)
-        self.size = s
-        self.KW_bins, self.diag_bins = np.split(bins, [Kp.flat.size + loads.size])
-        self.KW_count = flat.size
-        row, col = np.divmod(flat, n)
-        self.KW_at = row * s + col
-        self.GT_at = Gp.col * s + n + Gp.row
-        self.Gs_at = (n + Gp.row) * s + Gp.col
-        self.A = np.empty((s, s))
+    def fill(self, h, K, W, G, Gs):
+        """Overwrite A and the mapped entries of B and C for K = K(lambda),
+        the loads' director blocks W (None without loads), G = G(q_mid) and
+        Gs = G(q_mid + h w / 2), each on its pattern
+        (integrate.midpoint_linearization)."""
+        KW = K if W is None else np.concatenate([K, -W.ravel()])
+        KW = np.bincount(self.KW_bins, KW[self.KW_entries], minlength=self.KW_at.size)
+        KW *= 0.25 * h * h
+        KW[self.diag_bins] += self.mass
+        self.A.fill(0.0)
+        flat = self.A.ravel()
+        flat[self.KW_at] = KW
+        flat[self.GT_at] = h * G[self.G_in]
+        flat[self.Gs_at] = (0.5 * h) * Gs[self.G_in]
+        if self.B.size:
+            self.B.ravel()[self.B_at] = h * G[self.G_out]
+            self.C.ravel()[self.C_at] = (0.5 * h) * Gs[self.G_out]
 
 
-class _AugmentedBlocks(_DenseBlocks):
-    """Where the gamma terms of the mp-ggl reduced Newton matrix go.
+class _AugmentedBlocks(_GroupBlocks):
+    """Where the mp-ggl reduced Newton matrix takes its values.
 
     That matrix (integrate.midpoint_linearization) is s = n + 2m square,
     with the unknowns (u, lambda, gamma) at offsets 0, n and n + m. Its
-    plain scheme's blocks go where _DenseBlocks puts them at this size.
-    Beyond those it holds a G^T-shaped (u, gamma) block and a G-shaped
-    (gamma, u) block, each on the pattern of G (their entries go to the
-    flat positions DG_at and Gg_at), minus the four products
+    plain scheme's blocks go where the one group of every velocity and
+    multiplier puts them at this size (_GroupBlocks). Beyond those it
+    holds a G^T-shaped (u, gamma) block and a G-shaped (gamma, u) block,
+    each on the pattern of G (their entries go to the flat positions DG_at
+    and Gg_at), minus the four products
 
         Q = [(h/2) Kg; Gs] M^-1 [(h/2) Kg, 2 G^T],    Kg = K(gamma),
 
@@ -455,7 +453,7 @@ class _AugmentedBlocks(_DenseBlocks):
     def __init__(self, sys):
         n, m = sys.n, sys.m
         s, gam = n + 2 * m, n + m
-        super().__init__(sys, s)
+        super().__init__(sys, np.arange(n)[None], np.arange(m)[None], s)
         Kp, Gp = sys._K_pattern, sys._G_pattern
         self.DG_at = Gp.col * s + gam + Gp.row
         self.Gg_at = (gam + Gp.row) * s + Gp.col
@@ -478,6 +476,14 @@ class _AugmentedBlocks(_DenseBlocks):
         return np.bincount(self.Q_bins, left[self.Q_left] * right[self.Q_right] * self.Q_weight,
                            minlength=self.Q_at.size)
 
+    def fill_gamma(self, Q, Gg, DG):
+        """After fill, place the gamma blocks Gg and DG on the pattern of G
+        and subtract Q's values (integrate._reduced_matrix)."""
+        flat = self.A.ravel()
+        flat[self.DG_at] = DG
+        flat[self.Gg_at] = Gg
+        flat[self.Q_at] -= Q
+
 
 def _shared_columns(X, Y):
     """Every pair (i, j) of an entry i of pattern X and an entry j of
@@ -491,20 +497,21 @@ def _shared_columns(X, Y):
     return i, order[start[i] + k]
 
 
-def _joint_slots(sys, group):
+def _joint_slots(sys, group, inside):
     """The joint rows that touch each group, from the pattern of G.
 
-    group[a] is the group of velocity a, or -1 outside the groups. Returns
-    (entries, slot, joint): the entries of the G pattern in joint rows and
-    in the groups' columns, the place of each entry's row in its group's
-    list, and the lists, joint[g] the joint-multiplier indices (rows minus
-    m_internal) in increasing order, padded with mj = m - m_internal to the
-    longest list, shape (k, wj).
+    group[a] is the group of velocity a, or -1 outside the groups, and
+    inside[i] whether multiplier row i is the groups' own; every other row
+    is a joint row. Returns (entries, slot, joint): the entries of the G
+    pattern in rows outside and in the groups' columns, the place of each
+    entry's row in its group's list, and the lists, joint[g] the
+    joint-multiplier indices (rows minus m_internal) in increasing order,
+    padded with mj = m - m_internal to the longest list, shape (k, wj).
     """
     m, mi = sys.m, sys.m_internal
     k = group.max() + 1
     Gp = sys._G_pattern
-    entries = np.flatnonzero((Gp.row >= mi) & (group[Gp.col] >= 0))
+    entries = np.flatnonzero(~inside[Gp.row] & (group[Gp.col] >= 0))
     pairs, pair_of = np.unique(group[Gp.col[entries]] * m + Gp.row[entries] - mi,
                                return_inverse=True)
     pair_group = pairs // m
@@ -544,7 +551,7 @@ def _blocks_pay(sys, groups):
         (k, nv), s = vel.shape, vel.shape[1] + mult.shape[1]
         group = np.full(sys.n, -1)
         group[vel] = np.arange(k)[:, None]
-        wj = _joint_slots(sys, group)[2].shape[1]
+        wj = _joint_slots(sys, group, np.arange(sys.m) < sys.m_internal)[2].shape[1]
         cost += 2.0 * k * nv * wj * (s + wj)
     return cost < dense
 

@@ -1,19 +1,20 @@
 """Trajectory diagnostics: conservation, constraints, convergence orders.
 
-Everything here is post-processing on stored states. Conserved quantities
-are recomputed from the raw configuration and velocity arrays rather than
-trusting values cached during time stepping, so a report doubles as a
-check on the integrator's own bookkeeping. The power balance charges each
-step with h w^T f, where w is the configuration rate of assembly.port_flow
-at the step's midpoint, the same flow both schemes' position update uses.
+Everything here is post-processing on stored states. The energy and
+angular momentum series are the trajectory's own, recorded by
+integrate.simulate from each stored state; constraint_report recomputes
+the constraint measures from the stored configurations and velocities. The
+power balance charges each step with h w^T f, where w is the configuration
+rate of assembly.port_flow at the step's midpoint, the same flow both
+schemes' position update uses.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .assembly import (_jacobian_values, _slope_values, consistency, hamiltonian,
-                       input_assembly, port_flow, potential, total_angular_momentum)
+from .assembly import (_jacobian_values, _slope_values, consistency, input_assembly,
+                       port_flow, potential)
 
 __all__ = [
     "DiagnosticsReport",
@@ -91,10 +92,10 @@ def _collocated_flow(sys, traj, i):
 
 
 def conservation_report(traj, sys):
-    """Energy, angular momentum, and power-balance record for a run."""
+    """Energy, angular momentum, and power-balance record for a run, from
+    the trajectory's H and L series."""
     N = traj.t.shape[0]
-    H = np.array([hamiltonian(sys, traj.q[i], traj.v[i]) for i in range(N)])
-    L = np.array([total_angular_momentum(sys, traj.q[i], traj.v[i]) for i in range(N)])
+    H = traj.H.copy()
     dH = np.diff(H)
 
     supplied = np.zeros(max(N - 1, 0))
@@ -109,13 +110,13 @@ def conservation_report(traj, sys):
         t=traj.t.copy(),
         H=H,
         dH=dH,
-        L=L,
+        L=traj.L.copy(),
         max_g=traj.max_g.copy(),
         max_gv=traj.max_gv.copy(),
         newton_iters=traj.newton_iters.copy(),
         supplied_energy=supplied,
         power_defect=defect,
-        metadata={"scheme": traj.scheme, "h": traj.h, **traj.metadata},
+        metadata={"scheme": traj.scheme, "h": traj.h},
     )
 
 

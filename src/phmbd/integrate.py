@@ -44,17 +44,18 @@ scattered straight into the groups' saddle and coupling blocks, the
 blocks are eliminated group by group and the joint multipliers solve a
 Schur system, with no (n, n) or (m, n) array formed; otherwise, and
 always for the augmented scheme, the reduced system is solved by one
-dense LU of a matrix that the pattern values and the load blocks are
-placed in at flat positions fixed per system (_reduced_matrix), again
-with no dense K, W or G in between. midpoint_jacobian and ggl_jacobian
-are the full Newton matrices, the chain rule through (w, p), kept as the
-references the reduced updates are tested against; they alone scatter
-the pattern values into dense arrays.
+dense LU (_reduced_matrix). The dense matrix is the case of one group
+that holds every unknown, so the pattern values and the load blocks go
+into it and into the groups' blocks by one map fixed per system
+(assembly._GroupBlocks), with no dense K, W or G in between.
+midpoint_jacobian and ggl_jacobian are the full Newton matrices, the chain
+rule through (w, p), kept as the references the reduced updates are tested
+against; they alone scatter the pattern values into dense arrays.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,31 +232,22 @@ def midpoint_linearization(sys, state, y, h):
     K, D and G enter as their values on the patterns fixed at assembly
     and W as one (9, 9) block per load on its body's directors; the
     right-hand sides and the back substitution take their products from
-    those values. The plain system is solved in one of two ways, chosen
-    once per system when it is assembled (MultibodySystem._newton_blocks):
-    by one dense LU of the matrix those values are placed in at flat
-    positions fixed per system (_reduced_matrix), or, when an operation
-    count says it is cheaper, group by group (_block_solve): the values
-    are scattered straight into each group's saddle block and its coupling
-    blocks to the joint rows, held in buffers kept with the system, each
-    size of group takes one batched inverse, and the Schur system on the
-    joint multipliers is summed from the groups' small products. The
-    augmented system is always solved by one dense LU of a matrix
-    assembled the same way; its M^-1 products of K(gamma) and G are summed
-    over the column pairs of their fixed patterns
-    (assembly._AugmentedBlocks), with no dense product. Each path uses
-    exactly one np.linalg.solve.
-
-    The dense path assembles the reduced matrix in one (n + m) or
-    (n + 2m) square array kept with the system (assembly._DenseBlocks,
-    assembly._AugmentedBlocks), overwriting it on every call, as the block
-    path does its group buffers; so one system is stepped by one thread at
-    a time. A fresh array above glibc's mmap threshold (128 kB) is
-    page-faulted in on every fill: on a 24-body chain solved densely (a
-    2 MB matrix, 2-vCPU Xeon VM, glibc 2.36) reusing one cut the step time
-    by a third. The block path builds no (n, n), (m, n) or (n, mj) array;
-    on the same chain it takes no minor page faults per step, against
-    ~1700 when it gathered its blocks from the dense K(lambda), G and D.
+    those values. One map places them in the reduced matrix
+    (assembly._GroupBlocks.fill), into buffers kept with the system and
+    overwritten on every call, so one system is stepped by one thread at a
+    time. The plain system is solved in one of two ways, chosen once per
+    system when it is assembled (MultibodySystem._newton_blocks): by one
+    dense LU of the whole matrix, the one group of every velocity and
+    multiplier (_reduced_matrix), or, when an operation count says it is
+    cheaper, group by group (_block_solve): each group's saddle block and
+    its coupling blocks to the joint rows are filled, each size of group
+    takes one batched inverse, and the Schur system on the joint
+    multipliers is summed from the groups' small products, with no (n, n),
+    (m, n) or (n, mj) array. The augmented system is always solved by one
+    dense LU of the one group at size n + 2m; its M^-1 products of
+    K(gamma) and G are summed over the column pairs of their fixed
+    patterns (assembly._AugmentedBlocks), with no dense product. Each path
+    uses exactly one np.linalg.solve.
     """
     n, m = sys.n, sys.m
     lam = y[2 * n:2 * n + m]
@@ -307,9 +299,8 @@ def midpoint_linearization(sys, state, y, h):
 
 
 def _reduced_matrix(sys, h, K, W, G, Gs, gamma=None):
-    """The reduced Newton matrix of midpoint_linearization, assembled in the
-    system's buffer of its size (the A of assembly._DenseBlocks or
-    assembly._AugmentedBlocks), which it overwrites and returns.
+    """The reduced Newton matrix of midpoint_linearization, filled into the
+    system's buffer of its size, which it overwrites and returns.
 
     K = K(lambda) on its pattern, W the loads' director blocks
     (assembly._input_map_blocks, None without loads), and G = G(q_mid) and
@@ -322,28 +313,17 @@ def _reduced_matrix(sys, h, K, W, G, Gs, gamma=None):
     blocks, and Q is subtracted where it falls. At gamma = 0, Q = 0 and the
     leading (n + m) block is the plain matrix bit for bit.
 
-    Every value goes straight into the array, at flat positions fixed per
-    system (assembly._DenseBlocks, assembly._AugmentedBlocks): K - W is
-    summed on one pattern that includes the diagonal, so the (u, u) block
-    (h^2/4)(K - W) + M needs no dense K, W or G.
+    The matrix is the one saddle block of the group that holds every
+    velocity and multiplier (assembly._GroupBlocks, built on first use as
+    MultibodySystem._dense_blocks, or assembly._AugmentedBlocks at size
+    n + 2m), filled by the same map as the block path's groups, with no
+    dense K, W or G.
     """
     blk = sys._dense_blocks if gamma is None else sys._augmented_blocks
-    A = blk.A
-    A.fill(0.0)
-    flat = A.ravel()
-    KW = np.bincount(blk.KW_bins, K if W is None else np.concatenate([K, -W.ravel()]),
-                     minlength=blk.KW_count)
-    KW *= 0.25 * h * h
-    KW[blk.diag_bins] += sys.mass_diag
-    flat[blk.KW_at] = KW
-    flat[blk.GT_at] = h * G
-    flat[blk.Gs_at] = (0.5 * h) * Gs
+    blk.fill(h, K, W, G, Gs)
     if gamma is not None:
-        Q, Gg, DG = gamma
-        flat[blk.DG_at] = DG
-        flat[blk.Gg_at] = Gg
-        flat[blk.Q_at] -= Q
-    return A
+        blk.fill_gamma(*gamma)
+    return blk.A[0]
 
 
 def _block_solve(sys, blocks, h, K, G, Gs, W, b):
@@ -355,11 +335,11 @@ def _block_solve(sys, blocks, h, K, G, Gs, W, b):
     the matrix
 
         [E  B]    E block-diagonal with one saddle block A_g per group,
-        [C  0]    B = h G_joint^T and C = (h/2) Gs_joint
+        [C  0]    B = h G_out^T and C = (h/2) Gs_out on the joint rows
 
     with B and C nonzero only in velocity rows and columns. K, G and Gs are
     values on the system's patterns and W the loads' director blocks (None
-    without loads); each is scattered straight into the group buffers,
+    without loads); each group size's fill places them in its buffers,
     without forming a dense matrix. Each size of group takes one batched
     inverse of its saddle blocks, which pivots across the velocity and
     multiplier rows: inverting the velocity block alone loses digits when a
@@ -372,23 +352,13 @@ def _block_solve(sys, blocks, h, K, G, Gs, W, b):
     """
     n, mi = sys.n, sys.m_internal
     mj = sys.m - mi
-    c = 0.25 * h * h
     S = np.zeros(mj * mj + 1)  # the last bin takes the padding
     rhs = np.zeros(mj + 1)
     parts = []
     for blk in blocks:
-        nv, A = blk.nv, blk.A
-        A.fill(0.0)
-        A.ravel()[blk.K_at] = c * K[blk.K_entries]
-        for load, g, at in blk.loads:
-            A[g, at:at + 9, at:at + 9] -= c * W[load]
-        diag = np.arange(nv)
-        A[:, diag, diag] += blk.mass
-        A.ravel()[blk.GT_at] = h * G[blk.G_int]
-        A.ravel()[blk.Gs_at] = (0.5 * h) * Gs[blk.G_int]
-        blk.B.ravel()[blk.B_at] = h * G[blk.G_joint]
-        blk.C.ravel()[blk.C_at] = (0.5 * h) * Gs[blk.G_joint]
-        inv = np.linalg.inv(A)
+        blk.fill(h, K, W, G, Gs)
+        nv = blk.nv
+        inv = np.linalg.inv(blk.A)
         EB = inv[:, :, :nv] @ blk.B
         Eb = inv @ b[blk.idx, None]
         S += np.bincount(blk.schur_at.ravel(), (blk.C @ EB[:, :nv]).ravel(),
@@ -667,7 +637,6 @@ class Trajectory:
     h: float
     gamma: np.ndarray | None = None
     failure: dict | None = None
-    metadata: dict = field(default_factory=dict)
 
     @property
     def completed(self):

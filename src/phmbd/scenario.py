@@ -99,12 +99,20 @@ def _check_keys(obj, required, optional, where):
         raise ScenarioError(f"{where}: unknown field(s) {', '.join(unknown)}")
 
 
+def _float(x):
+    """float(x), with a JSON integer beyond the float range as infinity."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _vector(obj, key, length, where):
     value = obj[key]
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise ScenarioError(f"{where}: {key} must be a list of {length} numbers")
     try:
-        numbers = tuple(float(x) for x in value)
+        numbers = tuple(_float(x) for x in value)
     except (TypeError, ValueError):
         raise ScenarioError(f"{where}: {key} must contain only numbers") from None
     if not all(map(math.isfinite, numbers)):
@@ -116,9 +124,10 @@ def _number(obj, key, where):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: {key} must be a number")
-    if not math.isfinite(value):
+    number = _float(value)
+    if not math.isfinite(number):
         raise ScenarioError(f"{where}: {key} must be finite")
-    return float(value)
+    return number
 
 
 def _parse_body(obj, where):
@@ -383,24 +392,20 @@ def slider_crank_initial_velocities(omega_crank, v_crank, rho_ab, rho_bc, rho_c,
 
 
 def write_trajectory_csv(traj, path):
-    """Write one run as CSV: states, multipliers, and diagnostics per row."""
+    """Write one run as CSV: states, multipliers, and diagnostics per row,
+    every float as %.16e and the Newton iteration count as an integer."""
     n = traj.q.shape[1]
     m = traj.lam.shape[1]
     header = (["t"] + [f"q{i}" for i in range(n)] + [f"v{i}" for i in range(n)]
               + [f"lambda{i}" for i in range(m)]
               + ["H", "Lx", "Ly", "Lz", "max_g", "max_gv", "newton_iters"])
+    floats = np.column_stack([traj.t, traj.q, traj.v, traj.lam, traj.H, traj.L,
+                              traj.max_g, traj.max_gv])
+    row = ",".join(["%.16e"] * floats.shape[1]) + ",%d\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(traj.rows):
-            fields = ([f"{traj.t[k]:.16e}"]
-                      + [f"{x:.16e}" for x in traj.q[k]]
-                      + [f"{x:.16e}" for x in traj.v[k]]
-                      + [f"{x:.16e}" for x in traj.lam[k]]
-                      + [f"{traj.H[k]:.16e}"]
-                      + [f"{x:.16e}" for x in traj.L[k]]
-                      + [f"{traj.max_g[k]:.16e}", f"{traj.max_gv[k]:.16e}",
-                         str(int(traj.newton_iters[k]))])
-            fh.write(",".join(fields) + "\n")
+        fh.writelines(row % (*values.tolist(), its)
+                      for values, its in zip(floats, traj.newton_iters.tolist()))
 
 
 def write_summary_json(config, traj, report, scheme, tol, path):

@@ -3,6 +3,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from phmbd.assembly import hamiltonian, total_angular_momentum
 from phmbd.diagnostics import (
     ConvergenceFit,
     conservation_report,
@@ -38,11 +39,17 @@ def test_conservation_report_flat_without_loads(flying_pair):
 
 
 def test_constraint_report_matches_stored_series(flying_pair):
+    """The series simulate records per step are those of the stored states:
+    the constraint measures as constraint_report recomputes them, and H
+    and L, which conservation_report takes as they are, exactly."""
     sys, state = flying_pair
     traj = simulate(sys, state, IntegratorConfig(h=0.001, t_end=0.01))
     max_g, max_gv = constraint_report(traj, sys)
     npt.assert_allclose(max_g, traj.max_g, atol=1e-15)
     npt.assert_allclose(max_gv, traj.max_gv, atol=1e-15)
+    npt.assert_array_equal(traj.H, [hamiltonian(sys, q, v) for q, v in zip(traj.q, traj.v)])
+    npt.assert_array_equal(traj.L, [total_angular_momentum(sys, q, v)
+                                    for q, v in zip(traj.q, traj.v)])
 
 
 def test_rms_error_zero_against_itself(flying_pair):

@@ -1,4 +1,5 @@
-"""The two ways the reduced Newton matrix is assembled and solved.
+"""The two ways the reduced Newton matrix is solved, and the one map that
+fills it.
 
 `assembly._newton_groups` groups the bodies that the constraint Hessians
 couple, `assembly._GroupBlocks` maps the kernel's pattern values into
@@ -6,9 +7,10 @@ the blocks of each group size, `integrate._block_solve` solves the reduced (n + 
 midpoint system group by group with a Schur system on the joint
 multipliers, and the system takes that path only where an operation count
 says it beats one dense LU. The helpers are called directly, on systems
-either path would take. The dense path scatters the same values straight
-into the matrix (`integrate._reduced_matrix`), which must equal the dense
-formula of `reference.reduced_matrix` bit for bit.
+either path would take. The dense path fills the matrix as the one group
+of every unknown (`integrate._reduced_matrix`); the dense matrix and each
+group's blocks must equal the dense formula of `reference.reduced_matrix`
+bit for bit.
 """
 import tracemalloc
 
@@ -91,32 +93,61 @@ def _group_sizes(groups):
     return [(len(vel), vel.shape[1] + mult.shape[1]) for vel, mult in pairs]
 
 
-@pytest.mark.parametrize("name, h", [
+BLOCK_CASES = [
     ("flying_pair", 1e-3),
     ("slider_crank", 0.01),  # body 0 has near-zero Euler values
     ("closed_loop", 0.1),  # applied load, so KW = K - W
     ("spherical_chain", 0.01),  # one group per body
     ("pendulum_chain", 0.01),  # groups of five bodies, cut at spherical pairs
-])
+]
+
+
+def _reduced_terms(sys, state, y, h):
+    """(K, W, G, Gs) of the reduced mp matrix at the iterate y."""
+    n = sys.n
+    qm = 0.5 * (state.q + y[:n])
+    vm = 0.5 * (state.v + y[n:2 * n])
+    G = _jacobian_values(sys, qm)
+    W = _input_map_blocks(sys, qm, state.t + 0.5 * h) if sys.loads else None
+    return _contraction_values(sys, y[2 * n:]), W, G, G + _slope_values(sys, 0.5 * h * vm)
+
+
+@pytest.mark.parametrize("name, h", BLOCK_CASES)
 def test_block_solve_matches_dense_solve(name, h, request):
     """The block elimination solves the same reduced matrix as one dense
     LU, at an iterate away from any solution."""
     rng = np.random.default_rng(SEED)
     sys, state = _system(name, request, rng)
     y = _random_iterate(sys, state, h, rng)
-    n = sys.n
-    qm = 0.5 * (state.q + y[:n])
-    vm = 0.5 * (state.v + y[n:2 * n])
-    b = rng.standard_normal(n + sys.m)
-
-    K = _contraction_values(sys, y[2 * n:])
-    G = _jacobian_values(sys, qm)
-    Gs = G + _slope_values(sys, 0.5 * h * vm)
-    W = _input_map_blocks(sys, qm, state.t + 0.5 * h) if sys.loads else None
+    b = rng.standard_normal(sys.n + sys.m)
+    K, W, G, Gs = _reduced_terms(sys, state, y, h)
     blocks = [_GroupBlocks(sys, vel, mult) for vel, mult in _newton_groups(sys)]
     x = _block_solve(sys, blocks, h, K, G, Gs, W, b)
     x_ref = np.linalg.solve(reduced_matrix(sys, h, K, W, G, Gs), b)
     assert np.abs(x - x_ref).max() <= BLOCK_RTOL * np.abs(x_ref).max()
+
+
+@pytest.mark.parametrize("name, h", BLOCK_CASES)
+def test_group_blocks_are_blocks_of_the_dense_formula(name, h, request):
+    """After fill, each group's saddle block A_g and coupling blocks B_g and
+    C_g are the matching blocks of reference.reduced_matrix, bit for bit;
+    padded joint slots stay zero."""
+    rng = np.random.default_rng(SEED)
+    sys, state = _system(name, request, rng)
+    y = _random_iterate(sys, state, h, rng)
+    K, W, G, Gs = _reduced_terms(sys, state, y, h)
+    s = sys.n + sys.m
+    # one zero row and column past the end take the padded joint slots
+    A_ref = np.zeros((s + 1, s + 1))
+    A_ref[:s, :s] = reduced_matrix(sys, h, K, W, G, Gs)
+    for vel, mult in _newton_groups(sys):
+        blk = _GroupBlocks(sys, vel, mult)
+        blk.fill(h, K, W, G, Gs)
+        for g in range(len(vel)):
+            joint = sys.n + sys.m_internal + blk.joint[g]
+            npt.assert_array_equal(blk.A[g], A_ref[np.ix_(blk.idx[g], blk.idx[g])])
+            npt.assert_array_equal(blk.B[g], A_ref[np.ix_(vel[g], joint)])
+            npt.assert_array_equal(blk.C[g], A_ref[np.ix_(joint, vel[g])])
 
 
 @pytest.mark.parametrize("scheme, name, h", [

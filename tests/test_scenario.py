@@ -9,7 +9,7 @@ import pytest
 from phmbd import scenario
 from phmbd.assembly import consistency
 from phmbd.diagnostics import conservation_report
-from phmbd.integrate import IntegratorConfig, simulate
+from phmbd.integrate import IntegratorConfig, Trajectory, simulate
 from phmbd.joints import compile_joint
 from phmbd.scenario import (
     ScenarioError,
@@ -54,8 +54,9 @@ def test_parse_rejects_malformed_input():
         bad["bodies"][1][field] = value
         with pytest.raises(ScenarioError, match="body entry 1: "):
             parse_scenario(json.dumps(bad))
-    # NaN and infinite numbers anywhere in the document
-    nan, inf = float("nan"), float("inf")
+    # NaN and infinite numbers anywhere in the document, and integers
+    # beyond the float range
+    nan, inf, huge = float("nan"), float("inf"), 10 ** 400
     for path, value in (
             (("bodies", 0, "mass"), nan),
             (("bodies", 0, "inertias", 2), nan),
@@ -65,7 +66,10 @@ def test_parse_rejects_malformed_input():
             (("bodies", 0, "gravity", 2), nan),
             (("joints", 0, "joint_location", 0), nan),
             (("integrator", "h"), nan),
-            (("integrator", "t_end"), inf)):
+            (("integrator", "t_end"), inf),
+            (("bodies", 0, "mass"), huge),
+            (("bodies", 0, "inertias", 1), huge),
+            (("integrator", "h"), huge)):
         bad = json.loads(serialize_scenario(load_scenario("flying_pair")))
         parent = bad
         for key in path[:-1]:
@@ -237,6 +241,25 @@ def test_trajectory_csv_roundtrip(tmp_path, flying_pair):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     npt.assert_allclose(data[:, 1:1 + sys.n], traj.q, rtol=1e-15)
     npt.assert_allclose(data[:, 0], traj.t, rtol=1e-15)
+
+    # the exact text of a two-row trajectory with one coordinate and one row
+    two = Trajectory(t=np.array([0.0, 0.1]), q=np.array([[1.0], [1.0 / 3.0]]),
+                     v=np.array([[-2.5], [-0.0]]), lam=np.array([[0.0], [-1e-300]]),
+                     H=np.array([1.5, 1.25]),
+                     L=np.array([[0.0, 0.0, 1.0], [1e-17, -2.0, 1e300]]),
+                     max_g=np.array([0.0, 2.5e-17]), max_gv=np.array([0.0, 7e-16]),
+                     newton_iters=np.array([0, 3]), scheme="mp", h=0.1)
+    write_trajectory_csv(two, path)
+    assert path.read_text() == (
+        "t,q0,v0,lambda0,H,Lx,Ly,Lz,max_g,max_gv,newton_iters\n"
+        "0.0000000000000000e+00,1.0000000000000000e+00,-2.5000000000000000e+00,"
+        "0.0000000000000000e+00,1.5000000000000000e+00,0.0000000000000000e+00,"
+        "0.0000000000000000e+00,1.0000000000000000e+00,0.0000000000000000e+00,"
+        "0.0000000000000000e+00,0\n"
+        "1.0000000000000001e-01,3.3333333333333331e-01,-0.0000000000000000e+00,"
+        "-1.0000000000000000e-300,1.2500000000000000e+00,1.0000000000000001e-17,"
+        "-2.0000000000000000e+00,1.0000000000000001e+300,2.4999999999999999e-17,"
+        "7.0000000000000003e-16,3\n")
 
 
 def test_summary_json_contents(tmp_path, flying_pair):
