@@ -350,15 +350,23 @@ class _GroupBlocks:
     reduced matrix is A[0] of the one group of every velocity and
     multiplier, where wj = 0.
 
+    B_g is kept as the leading block of the right-hand side R_g (s, wj + 1)
+    of the block path's batched solve A_g^-1 R_g (integrate._block_solve):
+    R_g = [[B_g, b_v], [0, b_m]], whose last column the solve writes with
+    the group's entries of the right-hand side b; B is a view of R.
+
     No entry of K, W or an orthonormality row couples two groups. K - W and
     M are summed on one union pattern with the diagonal: KW_bins sends the
     entries KW_entries of K stacked over the loads' blocks to their bins,
     diag_bins the diagonal, and KW_at places the bins; G_in goes to GT_at
-    and Gs_at, G_out to B_at and C_at. A selection of a whole pattern is a
-    full slice. schur_at places C_g A_g^-1 B_g in the (mj, mj) Schur matrix
-    (mj^2 for padding). fill overwrites the buffers A, B and C, kept with
-    the system, so one system is stepped by one thread at a time; B and C
-    are zero outside their maps.
+    and Gs_at, G_out to B_at (in R) and C_at. A selection of a whole
+    pattern is a full slice. schur_at places C_g A_g^-1 R_g in one vector
+    that holds the (mj, mj) Schur matrix, then its mj right-hand side
+    entries, then one bin for the padding. columns[g] indexes each column
+    of R_g into (x_j, a padded slot, b's column), so it is mj for a padded
+    slot and mj + 1 for b's column. fill overwrites the buffers A, B and
+    C, kept with the system, so one system is stepped by one thread at a
+    time; B and C are zero outside their maps, and R below B.
     """
 
     def __init__(self, sys, vel, mult, size=None):
@@ -397,15 +405,19 @@ class _GroupBlocks:
         self.G_out, slot, self.joint = _joint_slots(sys, group, inside)
         wj = self.joint.shape[1]
         a = Gp.col[self.G_out]
-        self.B_at = (group[a] * nv + local[a]) * wj + slot
+        self.B_at = (group[a] * s + local[a]) * (wj + 1) + slot
         self.C_at = (group[a] * wj + slot) * nv + local[a]
         real = self.joint < mj
-        self.schur_at = np.where(real[:, :, None] & real[:, None, :],
-                                 self.joint[:, :, None] * mj + self.joint[:, None, :],
-                                 mj * mj)
+        self.schur_at = np.empty((k, wj, wj + 1), dtype=int)
+        self.schur_at[:, :, :wj] = np.where(real[:, :, None] & real[:, None, :],
+                                            self.joint[:, :, None] * mj + self.joint[:, None, :],
+                                            mj * mj + mj)
+        self.schur_at[:, :, wj] = mj * mj + self.joint  # a padded row's is mj^2 + mj
+        self.columns = np.concatenate([self.joint, np.full((k, 1), mj + 1)], axis=1)
 
         self.A = np.empty((k, s, s))
-        self.B = np.zeros((k, nv, wj))
+        self.R = np.zeros((k, s, wj + 1))
+        self.B = self.R[:, :nv, :wj]
         self.C = np.zeros((k, wj, nv))
 
     def fill(self, h, K, W, G, Gs):
@@ -423,7 +435,7 @@ class _GroupBlocks:
         flat[self.GT_at] = h * G[self.G_in]
         flat[self.Gs_at] = (0.5 * h) * Gs[self.G_in]
         if self.B.size:
-            self.B.ravel()[self.B_at] = h * G[self.G_out]
+            self.R.ravel()[self.B_at] = h * G[self.G_out]
             self.C.ravel()[self.C_at] = (0.5 * h) * Gs[self.G_out]
 
 
@@ -523,9 +535,12 @@ def _joint_slots(sys, group, inside):
 
 
 # Fixed price of one LAPACK call in _blocks_pay's flop count, from a sweep
-# of spherical chains of 2 to 40 bodies (numpy 2.4, OpenBLAS, one thread):
-# with it the rule switches to blocks where the two paths measure even, at
-# 5 bodies.
+# of spherical chains of 2 to 12 bodies (numpy 2.4, OpenBLAS, one thread).
+# The two paths measure even between 3 and 4 bodies, which a price between
+# 1.5e5 and 3.8e5 would reproduce. The bundled closed_loop (four one-body
+# groups, whose count breaks even at 3.6e5) measures like the 4-body chain,
+# and the bundled scenarios stay on the dense path, so the price sits in
+# the middle of the range that switches at 5 bodies, 3.8e5 to 7.6e5.
 LAPACK_CALL_FLOPS = 5e5
 
 
@@ -533,17 +548,22 @@ def _blocks_pay(sys, groups):
     """Whether the block elimination of the mp Newton matrix beats one dense
     solve, by an operation count with a fixed price per LAPACK call.
 
-    Dense: one LU of size n + m. Blocks: per group size, one batched
-    inverse of the (s, s) saddle blocks and the coupling products
-    A_g^-1 B_g and C_g (A_g^-1 B_g) over the wj joint rows of _joint_slots;
-    then the LU of the Schur system on the mj = m - m_internal joint
-    multipliers. The coupling products need the joint slots, so they are
-    counted only while the rest leaves blocks the cheaper.
+    Dense: one LU of size n + m. Blocks: per group size, one batched solve
+    of the k saddle blocks (s, s) against the wj + 1 columns of [B_g, b_g],
+    k (2/3 s^3 + 2 s^2 (wj + 1)), and the product of C_g with the solution's
+    nv velocity rows, 2 k wj nv (wj + 1), over the wj joint rows of
+    _joint_slots; then the LU of the Schur system on the mj = m - m_internal
+    joint multipliers. The terms in wj need the joint slots, so they are
+    counted only while the rest leaves blocks the cheaper. One group is the
+    dense matrix with its joint rows eliminated last, in more LAPACK calls
+    (24 revolute bodies: 1.26 times the dense update), so it never pays.
     """
+    if sum(len(vel) for vel, _ in groups) < 2:
+        return False
     mj = sys.m - sys.m_internal
     dense = 2.0 / 3.0 * (sys.n + sys.m) ** 3 + LAPACK_CALL_FLOPS
     cost = 2.0 / 3.0 * mj ** 3 + LAPACK_CALL_FLOPS + sum(
-        2.0 * len(vel) * (vel.shape[1] + mult.shape[1]) ** 3 + LAPACK_CALL_FLOPS
+        2.0 / 3.0 * len(vel) * (vel.shape[1] + mult.shape[1]) ** 3 + LAPACK_CALL_FLOPS
         for vel, mult in groups)
     for vel, mult in groups:
         if cost >= dense:
@@ -552,7 +572,7 @@ def _blocks_pay(sys, groups):
         group = np.full(sys.n, -1)
         group[vel] = np.arange(k)[:, None]
         wj = _joint_slots(sys, group, np.arange(sys.m) < sys.m_internal)[2].shape[1]
-        cost += 2.0 * k * nv * wj * (s + wj)
+        cost += 2.0 * k * (wj + 1) * (s * s + wj * nv)
     return cost < dense
 
 

@@ -241,13 +241,15 @@ def midpoint_linearization(sys, state, y, h):
     multiplier (_reduced_matrix), or, when an operation count says it is
     cheaper, group by group (_block_solve): each group's saddle block and
     its coupling blocks to the joint rows are filled, each size of group
-    takes one batched inverse, and the Schur system on the joint
-    multipliers is summed from the groups' small products, with no (n, n),
-    (m, n) or (n, mj) array. The augmented system is always solved by one
-    dense LU of the one group at size n + 2m; its M^-1 products of
-    K(gamma) and G are summed over the column pairs of their fixed
-    patterns (assembly._AugmentedBlocks), with no dense product. Each path
-    uses exactly one np.linalg.solve.
+    takes one batched solve against its coupling columns and its part of
+    the right-hand side, and the Schur system on the joint multipliers is
+    summed from the groups' small products, with no (n, n), (m, n) or
+    (n, mj) array. The augmented system is always solved by one dense LU of
+    the one group at size n + 2m; its M^-1 products of K(gamma) and G are
+    summed over the column pairs of their fixed patterns
+    (assembly._AugmentedBlocks), with no dense product. Each dense update
+    takes one np.linalg.solve; a block update takes one per size of group
+    and one for the Schur system.
     """
     n, m = sys.n, sys.m
     lam = y[2 * n:2 * n + m]
@@ -341,37 +343,37 @@ def _block_solve(sys, blocks, h, K, G, Gs, W, b):
     values on the system's patterns and W the loads' director blocks (None
     without loads); each group size's fill places them in its buffers,
     without forming a dense matrix. Each size of group takes one batched
-    inverse of its saddle blocks, which pivots across the velocity and
-    multiplier rows: inverting the velocity block alone loses digits when a
-    body has near-zero Euler values. The joint multipliers then solve the
-    Schur system (sum_g C_g A_g^-1 B_g) x_j = sum_g C_g A_g^-1 b_g - b_j,
-    accumulated from the groups' (wj, wj) products, with one
-    np.linalg.solve, and x_g = A_g^-1 b_g - (A_g^-1 B_g) x_j. Raises
+    solve X_g = A_g^-1 [B_g, b_g] of its saddle blocks against the wj + 1
+    columns of R_g, which pivots across the velocity and multiplier rows:
+    eliminating the velocity block alone loses digits when a body has
+    near-zero Euler values. One product C_g X_g gives both the Schur
+    entries C_g A_g^-1 B_g and the right-hand side C_g A_g^-1 b_g, summed
+    from the groups into the Schur system on the joint multipliers,
+    (sum_g C_g A_g^-1 B_g) x_j = sum_g C_g A_g^-1 b_g - b_j, which one
+    np.linalg.solve solves; then x_g = X_g [-x_j; 1]. Raises
     np.linalg.LinAlgError when a saddle block or the Schur system is
     singular.
     """
     n, mi = sys.n, sys.m_internal
     mj = sys.m - mi
-    S = np.zeros(mj * mj + 1)  # the last bin takes the padding
-    rhs = np.zeros(mj + 1)
+    # the Schur matrix, its right-hand side and a last bin for the padding
+    S = np.zeros(mj * mj + mj + 1)
     parts = []
     for blk in blocks:
         blk.fill(h, K, W, G, Gs)
-        nv = blk.nv
-        inv = np.linalg.inv(blk.A)
-        EB = inv[:, :, :nv] @ blk.B
-        Eb = inv @ b[blk.idx, None]
-        S += np.bincount(blk.schur_at.ravel(), (blk.C @ EB[:, :nv]).ravel(),
+        blk.R[:, :, -1] = b[blk.idx]
+        X = np.linalg.solve(blk.A, blk.R)
+        S += np.bincount(blk.schur_at.ravel(), (blk.C @ X[:, :blk.nv]).ravel(),
                          minlength=S.size)
-        rhs += np.bincount(blk.joint.ravel(), (blk.C @ Eb[:, :nv]).ravel(),
-                           minlength=rhs.size)
-        parts.append((blk, EB, Eb))
-    xj = np.zeros(mj + 1)  # xj[mj] = 0 is the padding
-    xj[:mj] = np.linalg.solve(S[:-1].reshape(mj, mj), rhs[:-1] - b[n + mi:])
+        parts.append((blk, X))
+    # [-x_j, 0 for the padded slots, 1 for b's column]
+    t = np.zeros(mj + 2)
+    t[:mj] = np.linalg.solve(S[:mj * mj].reshape(mj, mj), b[n + mi:] - S[mj * mj:-1])
+    t[mj + 1] = 1.0
     x = np.empty(b.size)
-    x[n + mi:] = xj[:mj]
-    for blk, EB, Eb in parts:
-        x[blk.idx] = (Eb - EB @ xj[blk.joint, None])[..., 0]
+    x[n + mi:] = -t[:mj]
+    for blk, X in parts:
+        x[blk.idx] = (X @ t[blk.columns, None])[..., 0]
     return x
 
 

@@ -99,8 +99,16 @@ def _check_keys(obj, required, optional, where):
         raise ScenarioError(f"{where}: unknown field(s) {', '.join(unknown)}")
 
 
+# json.loads gives every number as an int or a float; true and false are
+# bools, a type of their own, so they are not numbers here
+_NUMBER_TYPES = {int, float}
+
+
 def _float(x):
-    """float(x), with a JSON integer beyond the float range as infinity."""
+    """float(x) of a JSON number, with an integer beyond the float range as
+    infinity. Raises TypeError for anything else, a bool or a string too."""
+    if type(x) not in _NUMBER_TYPES:
+        raise TypeError(f"not a number: {x!r}")
     try:
         return float(x)
     except OverflowError:
@@ -112,8 +120,8 @@ def _vector(obj, key, length, where):
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise ScenarioError(f"{where}: {key} must be a list of {length} numbers")
     try:
-        numbers = tuple(_float(x) for x in value)
-    except (TypeError, ValueError):
+        numbers = tuple(map(_float, value))
+    except TypeError:
         raise ScenarioError(f"{where}: {key} must contain only numbers") from None
     if not all(map(math.isfinite, numbers)):
         raise ScenarioError(f"{where}: {key} must be finite")
@@ -121,10 +129,10 @@ def _vector(obj, key, length, where):
 
 
 def _number(obj, key, where):
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}: {key} must be a number")
-    number = _float(value)
+    try:
+        number = _float(obj[key])
+    except TypeError:
+        raise ScenarioError(f"{where}: {key} must be a number") from None
     if not math.isfinite(number):
         raise ScenarioError(f"{where}: {key} must be finite")
     return number

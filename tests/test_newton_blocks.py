@@ -127,6 +127,23 @@ def test_block_solve_matches_dense_solve(name, h, request):
     assert np.abs(x - x_ref).max() <= BLOCK_RTOL * np.abs(x_ref).max()
 
 
+@pytest.mark.parametrize("name", ["spherical_chain", "pendulum_chain"])
+def test_block_solve_reuses_its_buffers(name, request):
+    """Two solves on the same _GroupBlocks, at two iterates with two
+    right-hand sides, each match one dense LU: nothing of the first call's
+    saddle blocks or kept right-hand side R survives into the second."""
+    rng = np.random.default_rng(SEED)
+    sys, state = _system(name, request, rng)
+    h = 0.01
+    blocks = [_GroupBlocks(sys, vel, mult) for vel, mult in _newton_groups(sys)]
+    for _ in range(2):
+        K, W, G, Gs = _reduced_terms(sys, state, _random_iterate(sys, state, h, rng), h)
+        b = rng.standard_normal(sys.n + sys.m)
+        x = _block_solve(sys, blocks, h, K, G, Gs, W, b)
+        x_ref = np.linalg.solve(reduced_matrix(sys, h, K, W, G, Gs), b)
+        assert np.abs(x - x_ref).max() <= BLOCK_RTOL * np.abs(x_ref).max()
+
+
 @pytest.mark.parametrize("name, h", BLOCK_CASES)
 def test_group_blocks_are_blocks_of_the_dense_formula(name, h, request):
     """After fill, each group's saddle block A_g and coupling blocks B_g and
@@ -195,6 +212,24 @@ def test_block_update_matches_full_newton_step():
     dy = update()
     dy_full = np.linalg.solve(midpoint_jacobian(sys, state, y, h), -r)
     assert np.abs(dy - dy_full).max() <= BLOCK_RTOL * np.abs(dy_full).max()
+
+
+def test_block_path_run_matches_dense_run(monkeypatch):
+    """A whole run on the block path takes the dense path's Newton
+    iterations and stays within BLOCK_RTOL of its trajectory."""
+    rng = np.random.default_rng(SEED)
+    sys, q = _pendulum_chain_config(8, rng, ("spherical",))
+    assert sys._newton_blocks is not None
+    state = SystemState(0.0, q, np.zeros(sys.n), np.zeros(sys.m))
+    config = integrate.IntegratorConfig(h=0.01, t_end=0.2)
+    blocks = integrate.simulate(sys, state, config)
+    monkeypatch.setattr(sys, "_newton_blocks", None)
+    dense = integrate.simulate(sys, state, config)
+    assert blocks.completed and dense.completed and dense.rows == 21
+    npt.assert_array_equal(blocks.newton_iters, dense.newton_iters)
+    for key in ("q", "v", "lam"):
+        ref = getattr(dense, key)
+        assert np.abs(getattr(blocks, key) - ref).max() <= BLOCK_RTOL * np.abs(ref).max(), key
 
 
 def test_groups_and_path_choice(flying_pair, slider_crank, closed_loop):

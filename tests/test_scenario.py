@@ -77,6 +77,13 @@ def test_parse_rejects_malformed_input():
         parent[path[-1]] = value
         with pytest.raises(ScenarioError, match="must be finite"):
             parse_scenario(json.dumps(bad))
+    # strings and booleans among a vector's entries are not numbers
+    for field, value in (("inertias", ["1e-2", "0.02", " 0.025 "]),
+                         ("gravity", [True, 0, 0])):
+        bad = json.loads(serialize_scenario(load_scenario("flying_pair")))
+        bad["bodies"][0][field] = value
+        with pytest.raises(ScenarioError, match=f"{field} must contain only numbers"):
+            parse_scenario(json.dumps(bad))
 
 
 def _off_free_director(doc):
