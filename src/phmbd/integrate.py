@@ -82,7 +82,7 @@ __all__ = [
     "StepResult",
     "Trajectory",
     "IntegrationError",
-    "SCHEME_ALIASES",
+    "SCHEMES",
     "midpoint_residual",
     "midpoint_linearization",
     "midpoint_jacobian",
@@ -93,19 +93,7 @@ __all__ = [
     "simulate",
 ]
 
-SCHEME_ALIASES = {
-    "mp": "mp",
-    "ph-mp": "mp",
-    "mp-ggl": "mp-ggl",
-    "ph-mp-ggl": "mp-ggl",
-}
-
-
-def _canonical_scheme(name):
-    key = name.strip().lower()
-    if key not in SCHEME_ALIASES:
-        raise ValueError(f"unknown scheme {name!r}; expected one of {sorted(SCHEME_ALIASES)}")
-    return SCHEME_ALIASES[key]
+SCHEMES = ("mp", "mp-ggl")
 
 
 @dataclass(frozen=True)
@@ -114,12 +102,12 @@ class IntegratorConfig:
 
     Attributes:
         scheme: "mp" for the plain midpoint scheme, "mp-ggl" for the
-            velocity-constraint augmented variant (prefixed aliases accepted)
+            velocity-constraint augmented variant (one of SCHEMES)
         h: uniform step size
-        t_end: final time, a positive integer multiple of h
+        t_end: final time, a positive integer multiple of h, at a number of
+            steps that an array can index
         newton_tol: infinity-norm residual tolerance of the corrector,
             positive
-        newton_max_iter: iteration cap of the corrector, at least 1
 
     Raises ValueError for values outside these ranges.
     """
@@ -128,22 +116,23 @@ class IntegratorConfig:
     t_end: float
     scheme: str = "mp"
     newton_tol: float = 1e-9
-    newton_max_iter: int = 50
 
     def __post_init__(self):
-        object.__setattr__(self, "scheme", _canonical_scheme(self.scheme))
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {', '.join(SCHEMES)}")
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise ValueError(f"step size must be positive, got {self.h}")
         if not (math.isfinite(self.newton_tol) and self.newton_tol > 0.0):
             raise ValueError(f"Newton tolerance must be positive, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise ValueError(f"Newton iteration cap must be at least 1, got {self.newton_max_iter}")
         steps_f = self.t_end / self.h
         steps = round(steps_f) if math.isfinite(steps_f) else 0
         if steps < 1 or abs(steps_f - steps) > 1e-9 * max(1.0, steps):
             raise ValueError(
                 f"t_end = {self.t_end} is not a positive integer multiple of h = {self.h}"
             )
+        # simulate preallocates steps + 1 rows
+        if steps >= np.iinfo(np.intp).max:
+            raise ValueError(f"t_end / h = {steps_f:.3g} steps is more than an array can index")
 
     @property
     def steps(self):
@@ -592,10 +581,7 @@ def step(sys, state, config, guess=None):
     start_iters = 0
     if scheme == "mp-ggl":
         guess, start_iters = _midpoint_start(sys, state, guess, h)
-    result = newton_solve(
-        linearize, guess,
-        tol=config.newton_tol, max_iter=config.newton_max_iter,
-    )
+    result = newton_solve(linearize, guess, tol=config.newton_tol)
     iterations = start_iters + result.iterations
     if not result.converged:
         raise IntegrationError(

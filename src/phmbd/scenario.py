@@ -9,6 +9,9 @@ always wins.
 
 parse_scenario checks the document; build_system checks the initial state,
 from the exact g(q) that assembly.consistency reports too.
+dependent_velocities solves some bodies' velocities from the same system's
+exact G(q) v = 0, holding the others; `phmbd init-velocities` uses it to
+derive the slider-crank's rod and block velocities from its crank's.
 """
 
 import dataclasses
@@ -19,8 +22,9 @@ import os
 
 import numpy as np
 
-from .assembly import BodyLoad, MultibodySystem, SystemState, _constraint_values
-from .directors import RigidBody, hat
+from .assembly import (BodyLoad, MultibodySystem, SystemState, _constraint_values,
+                       stack_constraints)
+from .directors import RigidBody
 from .joints import PAIR_CONSTRAINT_COUNTS, JointError, JointSpec, compile_joint
 
 __all__ = [
@@ -34,7 +38,7 @@ __all__ = [
     "load_scenario",
     "builtin_scenarios",
     "build_system",
-    "slider_crank_initial_velocities",
+    "dependent_velocities",
     "write_trajectory_csv",
     "write_summary_json",
 ]
@@ -91,6 +95,8 @@ class ScenarioConfig:
 
 
 def _check_keys(obj, required, optional, where):
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where}: must be an object")
     missing = sorted(set(required) - set(obj))
     if missing:
         raise ScenarioError(f"{where}: missing field(s) {', '.join(missing)}")
@@ -219,8 +225,6 @@ def parse_scenario(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioError("top level must be an object")
     _check_keys(doc, ("name", "bodies", "joints", "integrator"), ("loads",), "scenario")
 
     if not isinstance(doc["bodies"], list) or not doc["bodies"]:
@@ -235,12 +239,13 @@ def parse_scenario(text):
         raise ScenarioError("joints must be a list")
     joints = tuple(_parse_joint(j, f"joint entry {k}", len(bodies))
                    for k, j in enumerate(doc["joints"]))
+    loads = doc.get("loads", [])
+    if not isinstance(loads, list):
+        raise ScenarioError("loads must be a list")
     loads = tuple(_parse_load(l, f"load entry {k}", len(bodies))
-                  for k, l in enumerate(doc.get("loads", [])))
+                  for k, l in enumerate(loads))
 
     integ = doc["integrator"]
-    if not isinstance(integ, dict):
-        raise ScenarioError("integrator must be an object")
     _check_keys(integ, ("h", "t_end"), (), "integrator")
     h = _number(integ, "h", "integrator")
     t_end = _number(integ, "t_end", "integrator")
@@ -348,55 +353,28 @@ def build_system(config):
     return system, SystemState(0.0, q0, v0, lam0)
 
 
-def slider_crank_initial_velocities(omega_crank, v_crank, rho_ab, rho_bc, rho_c,
-                                    d_rod, block_normal, block_axis=(1.0, 0.0, 0.0)):
-    """Consistent rod and block velocities of the slider-crank benchmark.
+def dependent_velocities(system, q, v, bodies):
+    """v with the velocities of `bodies` solved from G(q) v = 0.
 
-    Solves the 7x7 linear system expressing that the rod's endpoints follow
-    the crank tip and the sliding block, and that the rod's spin does not
-    violate the locked block direction:
-
-        v_rod - omega_rod x rho_c   - s_dot * axis = 0
-        v_rod - omega_rod x rho_bc  = v_crank - omega_crank x rho_ab
-        (omega_rod x d3_rod) . n    = 0
-
-    All levers point from the attachment point to the respective center of
-    mass (rho_ab: crank COM from the crank tip B; rho_bc / rho_c: rod COM
-    from B and from the block anchor C). Returns a dict with the rod and
-    block 12-component velocity vectors, omega_rod, and s_dot. Raises
-    ScenarioError when the geometry makes the system singular.
+    Every velocity outside `bodies` is kept, and the free ones solve
+    G(q)[:, free] v_free = -G(q)[:, given] v_given by least squares on the
+    system's exact constraint Jacobian; rows that do not touch `bodies` are
+    zero in the free columns and do not change the solution. Returns the
+    full velocity vector. Raises ScenarioError naming the bodies and the
+    rank when G(q)[:, free] lacks full column rank, that is when the
+    constraints leave some velocity of `bodies` undetermined.
     """
-    omega_crank = np.asarray(omega_crank, dtype=float)
-    v_crank = np.asarray(v_crank, dtype=float)
-    rho_ab = np.asarray(rho_ab, dtype=float)
-    rho_bc = np.asarray(rho_bc, dtype=float)
-    rho_c = np.asarray(rho_c, dtype=float)
-    d_rod = np.asarray(d_rod, dtype=float).reshape(3, 3)
-    n = np.asarray(block_normal, dtype=float)
-    axis = np.asarray(block_axis, dtype=float)
-
-    A = np.zeros((7, 7))
-    rhs = np.zeros(7)
-    # rod point C velocity equals the block's sliding velocity
-    A[0:3, 0:3] = np.eye(3)
-    A[0:3, 3:6] = hat(rho_c)
-    A[0:3, 6] = -axis
-    # rod point B velocity equals the crank tip velocity
-    A[3:6, 0:3] = np.eye(3)
-    A[3:6, 3:6] = hat(rho_bc)
-    rhs[3:6] = v_crank - np.cross(omega_crank, rho_ab)
-    # spin compatibility with the locked block direction
-    A[6, 3:6] = np.cross(d_rod[2], n)
-
-    try:
-        x = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ScenarioError(f"slider-crank geometry is singular: {exc}") from exc
-    v_rod, omega_rod, s_dot = x[:3], x[3:6], float(x[6])
-
-    rod = np.concatenate([v_rod, np.cross(omega_rod, d_rod).ravel()])
-    block = np.concatenate([s_dot * axis, np.zeros(9)])
-    return {"rod": rod, "block": block, "omega_rod": omega_rod, "s_dot": s_dot}
+    free = np.zeros(system.n, dtype=bool)
+    for k in bodies:
+        free[12 * k:12 * k + 12] = True
+    _, G = stack_constraints(system, q)
+    v = np.array(v, dtype=float)
+    solved, _, rank, _ = np.linalg.lstsq(G[:, free], -G[:, ~free] @ v[~free], rcond=None)
+    if rank < free.sum():
+        raise ScenarioError(f"the constraints do not fix the velocities of bodies "
+                            f"{list(bodies)}: rank {rank} of {free.sum()}")
+    v[free] = solved
+    return v
 
 
 def write_trajectory_csv(traj, path):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from phmbd.assembly import stack_constraints
 from phmbd.cli import main, run
-from phmbd.scenario import load_scenario, serialize_scenario
+from phmbd.scenario import build_system, load_scenario, serialize_scenario
 
 
 @pytest.fixture
@@ -60,6 +61,7 @@ def test_simulate_reports_power_defect_under_load(runner, tmp_path, scheme):
     ["--h", "-1"],
     ["--h", "0.003", "--t-end", "0.01"],
     ["--tol", "0"],
+    ["--h", "1e-3", "--t-end", "1e300"],
 ])
 def test_simulate_rejects_bad_integrator_input(runner, tmp_path, args):
     """Bad step, grid or tolerance: one error line, exit 1, no run."""
@@ -177,6 +179,16 @@ def test_init_velocities_matches_tables(runner):
                                atol=1e-5)
     np.testing.assert_allclose(doc["s_dot"], 0.24, atol=1e-6)
     assert doc["max_deviation_from_config"] <= 1e-5
+
+
+def test_init_velocities_satisfy_velocity_constraints(runner):
+    """The printed rod and block velocities, with the file's crank
+    velocities, satisfy every row of G(q0) v = 0 to rounding."""
+    doc = json.loads(runner.invoke(main, ["init-velocities"]).output)
+    system, state = build_system(load_scenario("slider_crank"))
+    v = np.concatenate([state.v[:12], doc["rod"], doc["block"]])
+    _, G = stack_constraints(system, state.q)
+    assert np.abs(G @ v).max() <= 1e-12
 
 
 def test_scenario_file_path_and_search_path(runner, tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from phmbd.assembly import (
     stack_constraints,
 )
 from phmbd.integrate import (
-    SCHEME_ALIASES,
+    SCHEMES,
     _midpoint_start,
     IntegrationError,
     IntegratorConfig,
@@ -33,11 +33,14 @@ SEED = 7
 
 
 def test_scheme_aliases():
-    assert SCHEME_ALIASES == {"mp": "mp", "ph-mp": "mp",
-                              "mp-ggl": "mp-ggl", "ph-mp-ggl": "mp-ggl"}
-    assert IntegratorConfig(h=0.1, t_end=1.0, scheme="ph-mp").scheme == "mp"
-    assert IntegratorConfig(h=0.1, t_end=1.0,
-                            scheme="ph-mp-ggl").scheme == "mp-ggl"
+    """Each scheme has one name: no prefixed aliases, no case or space
+    folding."""
+    assert SCHEMES == ("mp", "mp-ggl")
+    for scheme in SCHEMES:
+        assert IntegratorConfig(h=0.1, t_end=1.0, scheme=scheme).scheme == scheme
+    for alias in ("ph-mp", "ph-mp-ggl", "MP", " mp ", "Mp-GGL"):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            IntegratorConfig(h=0.1, t_end=1.0, scheme=alias)
 
 
 def test_config_validation():
@@ -48,9 +51,13 @@ def test_config_validation():
     for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             IntegratorConfig(h=0.1, t_end=1.0, newton_tol=tol)
-    with pytest.raises(ValueError):
-        IntegratorConfig(h=0.1, t_end=1.0, newton_max_iter=0)
-    assert IntegratorConfig(h=0.1, t_end=1.0, newton_max_iter=1).steps == 10
+    # the iteration cap is newton_solve's, not a setting
+    with pytest.raises(TypeError):
+        IntegratorConfig(h=0.1, t_end=1.0, newton_max_iter=1)
+    # a step count beyond what simulate can preallocate and index
+    with pytest.raises(ValueError, match="more than an array can index"):
+        IntegratorConfig(h=1e-3, t_end=1e300)
+    assert IntegratorConfig(h=0.1, t_end=1.0).steps == 10
 
 
 def test_simulate_rejects_misaligned_grid(flying_pair):

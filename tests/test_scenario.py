@@ -15,10 +15,10 @@ from phmbd.scenario import (
     ScenarioError,
     build_system,
     builtin_scenarios,
+    dependent_velocities,
     load_scenario,
     parse_scenario,
     serialize_scenario,
-    slider_crank_initial_velocities,
     write_summary_json,
     write_trajectory_csv,
 )
@@ -83,6 +83,22 @@ def test_parse_rejects_malformed_input():
         bad = json.loads(serialize_scenario(load_scenario("flying_pair")))
         bad["bodies"][0][field] = value
         with pytest.raises(ScenarioError, match=f"{field} must contain only numbers"):
+            parse_scenario(json.dumps(bad))
+    # entries that are not objects, and loads that are not a list
+    with pytest.raises(ScenarioError, match="^scenario: must be an object$"):
+        parse_scenario("[]")
+    for path, value, message in (
+            (("bodies", 0), 1, "body entry 0: must be an object"),
+            (("joints", 0), "x", "joint entry 0: must be an object"),
+            (("integrator",), 3, "integrator: must be an object"),
+            (("loads",), 5, "loads must be a list"),
+            (("loads",), [3], "load entry 0: must be an object")):
+        bad = json.loads(serialize_scenario(load_scenario("flying_pair")))
+        parent = bad
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
             parse_scenario(json.dumps(bad))
 
 
@@ -198,35 +214,25 @@ def test_closed_loop_load_profile(closed_loop):
 
 
 def test_initial_velocity_solver_reproduces_benchmark_rows(slider_crank):
-    """The 7x7 kinematic solve returns the published starting velocities."""
+    """Holding the crank, G(q0) v = 0 returns the published starting
+    velocities of the rod and the block."""
     sys, state = slider_crank
-    point_b = np.array([0.0, 0.1, 0.2])
-    point_c = np.array([0.2, 0.0, 0.0])
-    com_crank, com_rod = state.q[:3], state.q[12:15]
-    d_rod = state.q[15:24]
-    out = slider_crank_initial_velocities(
-        omega_crank=[6.0, 0.0, 0.0],
-        v_crank=state.v[:3],
-        rho_ab=com_crank - point_b,
-        rho_bc=com_rod - point_b,
-        rho_c=com_rod - point_c,
-        d_rod=d_rod,
-        block_normal=[1.0, 0.0, 0.0],
-    )
-    npt.assert_allclose(out["omega_rod"], [1.92, -0.96, 0.48], atol=1e-5)
-    npt.assert_allclose(out["s_dot"], 0.24, atol=1e-6)
-    npt.assert_allclose(out["rod"], state.v[12:24], atol=1e-5)
-    npt.assert_allclose(out["block"], state.v[24:36], atol=1e-6)
+    v = dependent_velocities(sys, state.q, state.v, (1, 2))
+    npt.assert_array_equal(v[:12], state.v[:12])
+    d_rod = state.q[15:24].reshape(3, 3)
+    omega_rod = 0.5 * np.cross(d_rod, v[15:24].reshape(3, 3)).sum(axis=0)
+    npt.assert_allclose(omega_rod, [1.92, -0.96, 0.48], atol=1e-5)
+    npt.assert_allclose(v[24], 0.24, atol=1e-6)
+    npt.assert_allclose(v[12:24], state.v[12:24], atol=1e-5)
+    npt.assert_allclose(v[24:36], state.v[24:36], atol=1e-6)
 
 
-def test_initial_velocity_solver_singular_geometry():
-    with pytest.raises(ScenarioError):
-        # rod axis parallel to the locked direction degenerates the spin row
-        slider_crank_initial_velocities(
-            omega_crank=[0.0, 0.0, 0.0], v_crank=[0.0, 0.0, 0.0],
-            rho_ab=[0.0, 0.0, 0.0], rho_bc=[0.0, 0.0, 0.0],
-            rho_c=[0.0, 0.0, 0.0], d_rod=np.eye(3).reshape(-1),
-            block_normal=[0.0, 0.0, 1.0])
+def test_dependent_velocities_rank_deficient(flying_pair):
+    """A cylindrical pair leaves body 1 free to slide along and spin about
+    its axis relative to body 0: its 10 rows cannot fix 12 velocities."""
+    sys, state = flying_pair
+    with pytest.raises(ScenarioError, match=r"bodies \[1\]: rank 10 of 12"):
+        dependent_velocities(sys, state.q, state.v, (1,))
 
 
 def test_build_system_initial_multiplier(slider_crank):
