@@ -28,8 +28,9 @@ arrays. Every later evaluation is a fixed sparse contraction:
 The sparsity of G, D and K is therefore fixed too. The kernel computes
 only their values on two patterns built with the system (_Pattern): the
 entries (i, a) of G0 and H for G and D, and the entries (a, b) of H for K,
-each with one np.bincount over H. Products such as G w and G^T lambda, and
-the measures of consistency, work on those values; stack_constraints,
+each with one np.bincount over H. Products such as G w and G^T lambda work
+on those values, and g(q) and G(q) x of many rows at once take the same
+bincounts over all rows (_constraint_values); stack_constraints,
 constraint_velocity_gradient and constraint_hessian_contraction scatter
 them into the dense matrices that the full Newton matrices
 (integrate.midpoint_jacobian, ggl_jacobian) and the operator triples need.
@@ -56,6 +57,7 @@ its gamma blocks to that group at size n + 2m (_AugmentedBlocks).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -593,11 +595,30 @@ def _contraction_values(sys, lam):
                        minlength=sys._K_pattern.flat.size)
 
 
-def _constraint_values(sys, q):
-    """g(q) and G(q) on its pattern: g = g0 + (G0 + (H q) / 2) q."""
-    Hq = _slope_values(sys, q)
-    g = sys._g0 + sys._G_pattern.times(sys._G0_values + 0.5 * Hq, q)
-    return g, sys._G0_values + Hq
+def _bincount_rows(bins, weights, size):
+    """np.bincount(bins, w, minlength=size) of every row w of weights, shape
+    (..., bins.size), as one bincount with the bins offset by size per row.
+    A single row takes the plain bincount: building the offsets costs more
+    than the bincount itself there (build_system's check, a 1-D
+    consistency)."""
+    if weights.ndim == 1:
+        return np.bincount(bins, weights, minlength=size)
+    rows = weights.shape[:-1]
+    at = bins + size * np.arange(math.prod(rows))[:, None]
+    return np.bincount(at.ravel(), weights.ravel(),
+                       minlength=math.prod(rows) * size).reshape(rows + (size,))
+
+
+def _constraint_values(sys, q, x):
+    """g(q) = g0 + (G0 + (H q) / 2) q and G(q) x for every row of q and x,
+    shapes (..., n) to (..., m). Each product is the bincount of the step
+    kernels (_slope_values, _Pattern.times) taken over all rows at once.
+    The gathers use take, which costs on one row about half of x[..., idx]."""
+    Gp = sys._G_pattern
+    Hq = _bincount_rows(sys._H_in_G, sys._H_values * q.take(sys._H_b, axis=-1), Gp.flat.size)
+    g = sys._g0 + _bincount_rows(Gp.row, (sys._G0_values + 0.5 * Hq) * q.take(Gp.col, axis=-1),
+                                 sys.m)
+    return g, _bincount_rows(Gp.row, (sys._G0_values + Hq) * x.take(Gp.col, axis=-1), sys.m)
 
 
 def stack_constraints(sys, q):
@@ -610,8 +631,9 @@ def stack_constraints(sys, q):
     construction; G is the dense scatter of its pattern values. Ground
     pairs contribute columns only for their real body.
     """
-    g, G = _constraint_values(sys, np.asarray(q, dtype=float))
-    return g, sys._G_pattern.dense(G)
+    q = np.asarray(q, dtype=float)
+    return (_constraint_values(sys, q, q)[0],
+            sys._G_pattern.dense(_jacobian_values(sys, q)))
 
 
 def constraint_velocity_gradient(sys, v):
@@ -638,11 +660,17 @@ def potential(sys, q):
     return float(grad @ np.asarray(q, dtype=float)), grad
 
 
+def _dots(a, b):
+    """a . b over the last axis, row by row, each as the 1-D a @ b rounds
+    it (a stack of (1, n) @ (n, 1) products)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def hamiltonian(sys, q, v):
-    """Total energy H = kinetic + potential."""
-    v = np.asarray(v, dtype=float)
-    V, _ = potential(sys, q)
-    return 0.5 * float(v @ (sys.mass_diag * v)) + V
+    """Total energy H = kinetic + potential, one per row of q and v (shape
+    (..., n))."""
+    q, v = np.asarray(q, dtype=float), np.asarray(v, dtype=float)
+    return 0.5 * _dots(v, sys.mass_diag * v) + _dots(q, sys._grad_potential)
 
 
 # component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1], indices mod 3:
@@ -657,7 +685,8 @@ def _cross(a, b):
 
 
 def total_angular_momentum(sys, q, v):
-    """System angular momentum about the inertial origin, shape (3,).
+    """System angular momentum about the inertial origin, shape (3,), or
+    (..., 3) for rows of q and v (shape (..., n)).
 
     Each body contributes x_k x (M v)_k summed over its four 3-blocks
     (phi, d1, d2, d3); the diagonal mass matrix weights the center-of-mass
@@ -667,10 +696,11 @@ def total_angular_momentum(sys, q, v):
     per-call axis handling; np.take keeps the arrays C-ordered, so the sums
     round as they do over np.cross's result.
     """
-    x = np.asarray(q, dtype=float).reshape(-1, 4, 3)
-    p = (sys.mass_diag * np.asarray(v, dtype=float)).reshape(-1, 4, 3)
+    x = np.asarray(q, dtype=float)
+    x = x.reshape(x.shape[:-1] + (len(sys.bodies), 4, 3))
+    p = (sys.mass_diag * np.asarray(v, dtype=float)).reshape(x.shape)
     L = _cross(x, p)
-    return (L[:, 0] + L[:, 1:].sum(axis=1)).sum(axis=0)
+    return (L[..., 0, :] + L[..., 1:, :].sum(axis=-2)).sum(axis=-2)
 
 
 def _load_moments(sys, q, t):
@@ -750,11 +780,10 @@ def input_map_jacobian(sys, q, t):
 
 
 def consistency(sys, q, v):
-    """Constraint satisfaction measures (max |g|, max |G v|), from the
-    pattern values of G."""
-    g, G = _constraint_values(sys, np.asarray(q, dtype=float))
-    Gv = sys._G_pattern.times(G, np.asarray(v, dtype=float))
-    return float(np.abs(g).max()), float(np.abs(Gv).max())
+    """Constraint satisfaction measures (max |g|, max |G v|), one pair per
+    row of q and v (shape (..., n))."""
+    g, Gv = _constraint_values(sys, np.asarray(q, dtype=float), np.asarray(v, dtype=float))
+    return np.abs(g).max(axis=-1), np.abs(Gv).max(axis=-1)
 
 
 def _assemble_skew(blocks, sizes):

@@ -76,8 +76,11 @@ def simulate_cmd(scenario, scheme, tol, h, t_end, out):
     if out is None:
         out = f"{config.name}_{scheme}.csv"
     sidecar = (out[:-4] if out.endswith(".csv") else out) + ".json"
-    write_trajectory_csv(traj, out)
-    write_summary_json(config, traj, report, scheme, tol, sidecar)
+    try:
+        write_trajectory_csv(traj, out)
+        write_summary_json(config, traj, report, scheme, tol, sidecar)
+    except OSError as exc:
+        _fail(f"cannot write the run's output: {exc}")
 
     if not traj.completed:
         click.echo(json.dumps({"failure": traj.failure, "rows": int(traj.rows),

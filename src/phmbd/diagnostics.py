@@ -1,26 +1,23 @@
-"""Trajectory diagnostics: conservation, constraints, convergence orders.
+"""Trajectory diagnostics: conservation, convergence orders.
 
-Everything here is post-processing on stored states. The energy and
-angular momentum series are the trajectory's own, recorded by
-integrate.simulate from each stored state; constraint_report recomputes
-the constraint measures from the stored configurations and velocities. The
-power balance charges each step with h w^T f, where w is the configuration
-rate of assembly.port_flow at the step's midpoint, the same flow both
-schemes' position update uses.
+Everything here is post-processing on stored states. The energy, angular
+momentum and constraint series are the trajectory's own, filled by
+integrate.simulate in one pass over its stored rows. The power balance
+charges each step with h w^T f, where w is the configuration rate of
+assembly.port_flow at the step's midpoint, the same flow both schemes'
+position update uses.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .assembly import (_jacobian_values, _slope_values, consistency, input_assembly,
-                       port_flow, potential)
+from .assembly import _constraint_values, _dots, input_assembly
 
 __all__ = [
     "DiagnosticsReport",
     "ConvergenceFit",
     "conservation_report",
-    "constraint_report",
     "rms_error",
     "convergence_orders",
 ]
@@ -28,31 +25,27 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class DiagnosticsReport:
-    """Per-step conservation and constraint record of one trajectory.
+    """Energy balance of one trajectory.
 
-    Arrays are aligned with the trajectory's time grid; increment arrays
-    (dH, supplied_energy, power_defect) are one entry shorter. supplied_energy
-    holds h * (y^{n+1/2})^T u^{n+1/2}, the discrete energy injected by the
-    applied loads during each step; power_defect is the violation of the
-    discrete energy balance dH = supplied, normalized by the local energy
-    scale max(1, |H^n|, |H^{n+1}|).
+    H and L are the trajectory's own series, not copies; the increment
+    arrays (dH, supplied_energy, power_defect) are one entry shorter.
+    supplied_energy holds h * (y^{n+1/2})^T u^{n+1/2}, the discrete energy
+    injected by the applied loads during each step; power_defect is the
+    violation of the discrete energy balance dH = supplied, normalized by
+    the local energy scale max(1, |H^n|, |H^{n+1}|).
     """
 
-    t: np.ndarray
     H: np.ndarray
     dH: np.ndarray
     L: np.ndarray
-    max_g: np.ndarray
-    max_gv: np.ndarray
-    newton_iters: np.ndarray
     supplied_energy: np.ndarray
     power_defect: np.ndarray
     metadata: dict
 
     def __post_init__(self):
-        N = self.t.shape[0]
-        if not (self.H.shape == (N,) and self.L.shape == (N, 3)):
-            raise ValueError("conserved-quantity arrays do not match the time grid")
+        N = self.H.shape[0]
+        if self.L.shape != (N, 3):
+            raise ValueError("H and L do not share a time grid")
         if self.dH.shape != (max(N - 1, 0),):
             raise ValueError("increment array must be one shorter than the grid")
 
@@ -72,62 +65,33 @@ class DiagnosticsReport:
         return float(self.power_defect.max()) if self.power_defect.size else 0.0
 
 
-def _collocated_flow(sys, traj, i):
-    """Flow w of step i -> i+1 and the applied force f it works against.
-
-    w is the configuration rate of assembly.port_flow at the step's
-    midpoint with the step's multipliers, as in the position update of
-    either residual: the midpoint velocity for the plain scheme, plus the
-    projection term M^-1 G(q)^T gamma for the augmented one.
-    """
-    q_mid = 0.5 * (traj.q[i] + traj.q[i + 1])
-    v_mid = 0.5 * (traj.v[i] + traj.v[i + 1])
-    f = input_assembly(sys, q_mid, traj.t[i] + 0.5 * traj.h)
-    force = f - potential(sys, q_mid)[1]
-    G = _jacobian_values(sys, q_mid)
-    gamma = None if traj.gamma is None else traj.gamma[i + 1]
-    D = None if gamma is None else _slope_values(sys, v_mid)
-    w, _ = port_flow(sys, G, v_mid, traj.lam[i + 1], force, gamma, D)
-    return w, f
+def _supplied_energy(sys, traj):
+    """h w^T f of every step, with the flow w of assembly.port_flow and the
+    applied force f at the step's midpoint and multipliers: h v_mid . f,
+    plus h gamma . G(q_mid) M^-1 f for the augmented scheme, whose w adds
+    M^-1 G^T gamma to v_mid. f is evaluated per step, since the loads'
+    wrenches take one time each."""
+    q_mid = 0.5 * (traj.q[:-1] + traj.q[1:])
+    v_mid = 0.5 * (traj.v[:-1] + traj.v[1:])
+    f = np.array([input_assembly(sys, q, t)
+                  for q, t in zip(q_mid, traj.t[:-1] + 0.5 * traj.h)]).reshape(q_mid.shape)
+    wf = _dots(v_mid, f)
+    if traj.gamma is not None:
+        wf += _dots(traj.gamma[1:], _constraint_values(sys, q_mid, sys.mass_diag_inv * f)[1])
+    return traj.h * wf
 
 
 def conservation_report(traj, sys):
     """Energy, angular momentum, and power-balance record for a run, from
     the trajectory's H and L series."""
-    N = traj.t.shape[0]
-    H = traj.H.copy()
+    H = traj.H
     dH = np.diff(H)
-
-    supplied = np.zeros(max(N - 1, 0))
-    if sys.loads:
-        for i in range(N - 1):
-            w, f = _collocated_flow(sys, traj, i)
-            supplied[i] = traj.h * float(w @ f)
+    supplied = _supplied_energy(sys, traj) if sys.loads else np.zeros(dH.size)
     scale = np.maximum(1.0, np.maximum(np.abs(H[:-1]), np.abs(H[1:])))
     defect = np.abs(dH - supplied) / scale
-
-    return DiagnosticsReport(
-        t=traj.t.copy(),
-        H=H,
-        dH=dH,
-        L=traj.L.copy(),
-        max_g=traj.max_g.copy(),
-        max_gv=traj.max_gv.copy(),
-        newton_iters=traj.newton_iters.copy(),
-        supplied_energy=supplied,
-        power_defect=defect,
-        metadata={"scheme": traj.scheme, "h": traj.h},
-    )
-
-
-def constraint_report(traj, sys):
-    """Per-step (max |g|, max |G v|), recomputed from the stored states."""
-    N = traj.t.shape[0]
-    max_g = np.zeros(N)
-    max_gv = np.zeros(N)
-    for i in range(N):
-        max_g[i], max_gv[i] = consistency(sys, traj.q[i], traj.v[i])
-    return max_g, max_gv
+    return DiagnosticsReport(H=H, dH=dH, L=traj.L, supplied_energy=supplied,
+                             power_defect=defect,
+                             metadata={"scheme": traj.scheme, "h": traj.h})
 
 
 def _align(traj, t_bar, tol):

@@ -608,8 +608,10 @@ class Trajectory:
 
     Row 0 holds the initial state with the configured multiplier guess;
     row k > 0 holds the state after step k with that step's converged
-    midpoint multipliers. When the corrector fails, the arrays stop at the
-    last completed step and `failure` records where and why.
+    midpoint multipliers and Newton iteration count; H, L, max_g and max_gv
+    are those of its state (assembly.hamiltonian, total_angular_momentum,
+    consistency). When the corrector fails, the arrays stop at the last
+    completed step and `failure` records where and why.
     """
 
     t: np.ndarray
@@ -644,6 +646,8 @@ def simulate(sys, state0, config):
     with gamma = 0 before its own corrector runs (see step). The first
     corrector failure terminates the run; the partial trajectory is
     returned with the failure step, time, and residual norm recorded.
+    H, L, max_g and max_gv are filled after the loop, by one call each over
+    the stored rows.
     """
     from .assembly import consistency
 
@@ -657,10 +661,6 @@ def simulate(sys, state0, config):
     v = np.empty((steps + 1, n))
     lam = np.empty((steps + 1, m))
     gamma = np.empty((steps + 1, m)) if with_gamma else None
-    H = np.empty(steps + 1)
-    L = np.empty((steps + 1, 3))
-    max_g = np.empty(steps + 1)
-    max_gv = np.empty(steps + 1)
     iters = np.zeros(steps + 1, dtype=int)
 
     state = state0
@@ -674,9 +674,6 @@ def simulate(sys, state0, config):
         lam[k] = st.lam
         if with_gamma:
             gamma[k] = st.gamma
-        H[k] = hamiltonian(sys, st.q, st.v)
-        L[k] = total_angular_momentum(sys, st.q, st.v)
-        max_g[k], max_gv[k] = consistency(sys, st.q, st.v)
         iters[k] = its
 
     record(0, state, 0)
@@ -705,16 +702,18 @@ def simulate(sys, state0, config):
         done = k
 
     rows = done + 1
+    q, v = q[:rows], v[:rows]
+    max_g, max_gv = consistency(sys, q, v)
     return Trajectory(
         t=t[:rows],
-        q=q[:rows],
-        v=v[:rows],
+        q=q,
+        v=v,
         lam=lam[:rows],
         gamma=gamma[:rows] if with_gamma else None,
-        H=H[:rows],
-        L=L[:rows],
-        max_g=max_g[:rows],
-        max_gv=max_gv[:rows],
+        H=hamiltonian(sys, q, v),
+        L=total_angular_momentum(sys, q, v),
+        max_g=max_g,
+        max_gv=max_gv,
         newton_iters=iters[:rows],
         scheme=scheme,
         h=config.h,

@@ -171,9 +171,10 @@ def _parse_body(obj, where):
 def _parse_joint(obj, where, n_bodies):
     _check_keys(obj, ("type", "body_indices", "joint_location"),
                 ("reference_axis", "constraints"), where)
-    kind = str(obj["type"]).strip().lower()
-    if kind not in PAIR_CONSTRAINT_COUNTS:
-        raise ScenarioError(f"{where}: unknown pair type {obj['type']!r}")
+    kind = obj["type"]
+    if not isinstance(kind, str) or kind not in PAIR_CONSTRAINT_COUNTS:
+        raise ScenarioError(f"{where}: unknown pair type {kind!r}; "
+                            f"expected one of {', '.join(PAIR_CONSTRAINT_COUNTS)}")
     pair = obj["body_indices"]
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
             or not all(isinstance(k, int) and not isinstance(k, bool) for k in pair)):
@@ -188,6 +189,8 @@ def _parse_joint(obj, where, n_bodies):
     count = None
     if "constraints" in obj:
         count = obj["constraints"]
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise ScenarioError(f"{where}: constraints must be an integer, got {count!r}")
         if count != PAIR_CONSTRAINT_COUNTS[kind]:
             raise ScenarioError(
                 f"{where}: constraints = {count} contradicts the {kind} pair "
@@ -335,7 +338,8 @@ def build_system(config):
     system = MultibodySystem(bodies, joints, loads=loads)
 
     q0 = np.concatenate([np.asarray(b.initial_position) for b in config.bodies])
-    g, _ = _constraint_values(system, q0)
+    v0 = np.concatenate([np.asarray(b.initial_velocity) for b in config.bodies])
+    g, _ = _constraint_values(system, q0, v0)
     row = int(np.argmax(np.abs(g)))  # the first NaN row, if there is one
     if not abs(g[row]) <= CONSISTENCY_TOL:
         if row < system.m_internal:
@@ -346,7 +350,6 @@ def build_system(config):
             where = f"joint {k} ({joints[k].pair_type}): row {row - starts[k] + 1} of the pair"
         raise ScenarioError(f"{where} violated by {abs(g[row]):.3e} in the initial position")
 
-    v0 = np.concatenate([np.asarray(b.initial_velocity) for b in config.bodies])
     lam0 = np.zeros(system.m)
     lam0[:6 * len(bodies)] = np.concatenate([np.asarray(b.multiplier)
                                              for b in config.bodies])

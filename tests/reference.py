@@ -9,7 +9,9 @@ everything from, and their Jacobian is a central difference with unit
 step, exact for quadratics up to rounding. The stacked angular momentum is
 checked against `loop_angular_momentum`, the sum of the per-body function,
 and the applied force against `loop_input_assembly`, the sum of each
-load's wrench map. `reduced_matrix` assembles the reduced Newton matrix of
+load's wrench map. The power balance's supplied energy is checked against
+`loop_supplied_energy`, h w . f one step at a time with w from the dense
+G. `reduced_matrix` assembles the reduced Newton matrix of
 `phmbd.integrate.midpoint_linearization` from dense K - W, G and Gs; the
 library places the same values straight into the matrix, and must match
 it bit for bit. The port maps of `phmbd.interconnect`, read off each
@@ -144,6 +146,20 @@ def loop_input_assembly(sys, q, t):
         B = external_wrench_map(sys.body_config(q, load.body), load.r_material)
         f[12 * load.body:12 * load.body + 12] += B @ u
     return f
+
+
+def loop_supplied_energy(sys, traj):
+    """h w . f of every step of traj, one step at a time, at the step's
+    midpoint: f the applied force and w = v_mid + M^-1 G(q_mid)^T gamma the
+    configuration rate (v_mid for a trajectory without gamma)."""
+    supplied = np.zeros(traj.rows - 1)
+    for i in range(traj.rows - 1):
+        q_mid = 0.5 * (traj.q[i] + traj.q[i + 1])
+        w = 0.5 * (traj.v[i] + traj.v[i + 1])
+        if traj.gamma is not None:
+            w = w + sys.mass_diag_inv * (stack_constraints(sys, q_mid)[1].T @ traj.gamma[i + 1])
+        supplied[i] = traj.h * float(w @ input_assembly(sys, q_mid, traj.t[i] + 0.5 * traj.h))
+    return supplied
 
 
 def reduced_matrix(sys, h, K, W, G, Gs, gamma=None):

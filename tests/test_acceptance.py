@@ -104,7 +104,7 @@ def test_flying_pair_energy_and_momentum_conservation(flying_mp):
     sys, traj, elapsed = flying_mp
     rep = conservation_report(traj, sys)
     assert rep.relative_energy_drift <= 1e-9
-    assert rep.momentum_drift.max() <= 1e-8 * np.linalg.norm(rep.L[0])
+    assert rep.momentum_drift.max() <= 1e-8 * np.linalg.norm(traj.L[0])
     assert elapsed < 10.0
 
 
@@ -148,10 +148,10 @@ def test_closed_loop_power_balance_and_momentum(closed_mp):
     H is constant and only the x angular-momentum component survives."""
     sys, traj, _ = closed_mp
     rep = conservation_report(traj, sys)
-    loading = rep.t[1:] <= 1.0 + 1e-12
+    loading = traj.t[1:] <= 1.0 + 1e-12
     assert rep.power_defect[loading].max() <= 1e-10
 
-    after = rep.t >= 1.0 - 1e-12
+    after = traj.t >= 1.0 - 1e-12
     H_after = rep.H[after]
     scale = max(1.0, float(np.abs(H_after).max()))
     assert np.abs(H_after - H_after[0]).max() / scale <= 1e-9

@@ -145,6 +145,19 @@ def test_simulate_failure_reports_and_exits_nonzero(runner, tmp_path):
     assert out.exists()  # partial trajectory is still written
 
 
+def test_simulate_unwritable_output_reports_error(runner, tmp_path):
+    """An --out path in a missing directory is one error line, exit 1."""
+    out = tmp_path / "no_such_dir" / "x.csv"
+    result = runner.invoke(main, [
+        "simulate", "--scenario", "flying_pair", "--h", "0.001",
+        "--t-end", "0.002", "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error: cannot write the run's output" in result.output
+    assert "no_such_dir" in result.output
+    assert not out.parent.exists()
+
+
 def test_simulate_slider_crank_midpoint_coarse_step(runner, tmp_path):
     """Midpoint at h=0.02: velocity-level oscillations stay bounded and the
     corrector keeps converging, so the run completes."""

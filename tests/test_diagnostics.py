@@ -3,15 +3,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from phmbd.assembly import hamiltonian, total_angular_momentum
+from phmbd.assembly import consistency, hamiltonian, total_angular_momentum
 from phmbd.diagnostics import (
     ConvergenceFit,
     conservation_report,
-    constraint_report,
     convergence_orders,
     rms_error,
 )
 from phmbd.integrate import IntegratorConfig, simulate
+from reference import loop_supplied_energy
 
 
 @pytest.mark.parametrize("scheme", ["mp", "mp-ggl"])
@@ -23,11 +23,19 @@ def test_conservation_report_power_identity(closed_loop, scheme):
     assert rep.power_defect.max() <= 1e-12
     # per-step series live on the intervals; load switches off at t = 1
     assert rep.dH.shape == rep.supplied_energy.shape == (traj.rows - 1,)
-    after = rep.t[1:] > 1.0 + 1e-12
+    after = traj.t[1:] > 1.0 + 1e-12
     npt.assert_allclose(rep.supplied_energy[after], 0.0, atol=0.0)
     npt.assert_allclose(rep.dH[after], 0.0, atol=1e-9)
     assert rep.metadata["scheme"] == scheme
     assert rep.metadata["h"] == 0.1
+    # the step loop's h w . f; the augmented scheme's gamma term is summed
+    # in another order, so it agrees to rounding
+    ref = loop_supplied_energy(sys, traj)
+    if scheme == "mp":
+        npt.assert_array_equal(rep.supplied_energy, ref)
+    else:
+        npt.assert_allclose(rep.supplied_energy, ref, rtol=0.0,
+                            atol=1e-14 * np.abs(ref).max())
 
 
 def test_conservation_report_flat_without_loads(flying_pair):
@@ -38,18 +46,30 @@ def test_conservation_report_flat_without_loads(flying_pair):
     assert np.abs(rep.dH).max() <= 1e-9 * abs(rep.H[0])
 
 
-def test_constraint_report_matches_stored_series(flying_pair):
-    """The series simulate records per step are those of the stored states:
-    the constraint measures as constraint_report recomputes them, and H
-    and L, which conservation_report takes as they are, exactly."""
-    sys, state = flying_pair
-    traj = simulate(sys, state, IntegratorConfig(h=0.001, t_end=0.01))
-    max_g, max_gv = constraint_report(traj, sys)
-    npt.assert_allclose(max_g, traj.max_g, atol=1e-15)
-    npt.assert_allclose(max_gv, traj.max_gv, atol=1e-15)
-    npt.assert_array_equal(traj.H, [hamiltonian(sys, q, v) for q, v in zip(traj.q, traj.v)])
-    npt.assert_array_equal(traj.L, [total_angular_momentum(sys, q, v)
-                                    for q, v in zip(traj.q, traj.v)])
+@pytest.mark.parametrize("scenario, scheme, h, t_end, rows", [
+    ("flying_pair", "mp", 0.001, 0.01, 11),
+    ("flying_pair", "mp-ggl", 0.001, 0.01, 11),
+    ("slider_crank", "mp", 0.01, 0.1, 11),
+    ("slider_crank", "mp-ggl", 0.01, 0.1, 11),
+    ("closed_loop", "mp", 0.1, 1.0, 11),
+    ("closed_loop", "mp-ggl", 0.1, 1.0, 11),
+    # stops at step 6 as diverged: the series cover the partial rows
+    ("slider_crank", "mp-ggl", 0.05, 0.5, 6),
+])
+def test_stored_series_match_per_row_calls(scenario, scheme, h, t_end, rows, request):
+    """simulate fills H, L, max_g and max_gv in one pass over the stored
+    rows; each row is the 1-D call on that row's state, bit for bit."""
+    sys, state = request.getfixturevalue(scenario)
+    traj = simulate(sys, state, IntegratorConfig(h=h, t_end=t_end, scheme=scheme))
+    assert traj.rows == rows and traj.completed == (rows == 11)
+    states = list(zip(traj.q, traj.v))
+    npt.assert_array_equal(traj.H, [hamiltonian(sys, q, v) for q, v in states])
+    npt.assert_array_equal(traj.L, [total_angular_momentum(sys, q, v) for q, v in states])
+    max_g, max_gv = np.array([consistency(sys, q, v) for q, v in states]).T
+    npt.assert_array_equal(traj.max_g, max_g)
+    npt.assert_array_equal(traj.max_gv, max_gv)
+    rep = conservation_report(traj, sys)
+    assert rep.H is traj.H and rep.L is traj.L
 
 
 def test_rms_error_zero_against_itself(flying_pair):

@@ -48,6 +48,17 @@ def test_parse_rejects_malformed_input():
     bad["joints"][0]["type"] = "helical"
     with pytest.raises(ScenarioError):
         parse_scenario(json.dumps(bad))
+    # a pair type is the exact lowercase name, and a pair's constraint count
+    # an integer (slider_crank's joint 0 is its revolute pair)
+    for field, value, message in (("type", " Revolute ", "unknown pair type ' Revolute '"),
+                                  ("type", "REVOLUTE", "unknown pair type 'REVOLUTE'"),
+                                  ("type", ["revolute"], "unknown pair type"),
+                                  ("constraints", 5.0, "constraints must be an integer"),
+                                  ("constraints", True, "constraints must be an integer")):
+        bad = json.loads(serialize_scenario(load_scenario("slider_crank")))
+        bad["joints"][0][field] = value
+        with pytest.raises(ScenarioError, match=f"^joint entry 0: {message}"):
+            parse_scenario(json.dumps(bad))
     # RigidBody's checks reject a bad mass or inertia triple while parsing
     for field, value in (("mass", -1.0), ("mass", 0.0), ("inertias", [1.0, 1.0, 3.0])):
         bad = json.loads(serialize_scenario(load_scenario("flying_pair")))
