@@ -68,14 +68,21 @@ def simulate_cmd(scenario, scheme, tol, h, t_end, out):
     h = config.h if h is None else h
     integ = _integrator(scheme, tol, h, config.t_end if t_end is None else t_end)
 
+    if out is None:
+        out = f"{config.name}_{scheme}.csv"
+    sidecar = (out[:-4] if out.endswith(".csv") else out) + ".json"
+    try:
+        # an output that cannot be written fails before the run, not after it
+        for path in (out, sidecar):
+            open(path, "w", encoding="utf-8").close()
+    except OSError as exc:
+        _fail(f"cannot write the run's output: {exc}")
+
     started = time.perf_counter()
     traj = simulate(system, state0, integ)
     elapsed = time.perf_counter() - started
     report = conservation_report(traj, system)
 
-    if out is None:
-        out = f"{config.name}_{scheme}.csv"
-    sidecar = (out[:-4] if out.endswith(".csv") else out) + ".json"
     try:
         write_trajectory_csv(traj, out)
         write_summary_json(config, traj, report, scheme, tol, sidecar)

@@ -40,7 +40,6 @@ class DiagnosticsReport:
     L: np.ndarray
     supplied_energy: np.ndarray
     power_defect: np.ndarray
-    metadata: dict
 
     def __post_init__(self):
         N = self.H.shape[0]
@@ -90,8 +89,7 @@ def conservation_report(traj, sys):
     scale = np.maximum(1.0, np.maximum(np.abs(H[:-1]), np.abs(H[1:])))
     defect = np.abs(dH - supplied) / scale
     return DiagnosticsReport(H=H, dH=dH, L=traj.L, supplied_energy=supplied,
-                             power_defect=defect,
-                             metadata={"scheme": traj.scheme, "h": traj.h})
+                             power_defect=defect)
 
 
 def _align(traj, t_bar, tol):

@@ -48,9 +48,10 @@ dense LU (_reduced_matrix). The dense matrix is the case of one group
 that holds every unknown, so the pattern values and the load blocks go
 into it and into the groups' blocks by one map fixed per system
 (assembly._GroupBlocks), with no dense K, W or G in between.
-midpoint_jacobian and ggl_jacobian are the full Newton matrices, the chain
-rule through (w, p), kept as the references the reduced updates are tested
-against; they alone scatter the pattern values into dense arrays.
+ggl_jacobian is the full Newton matrix, the chain rule through (w, p), kept
+as the reference the reduced updates of both schemes are tested against;
+midpoint_jacobian, the plain scheme's, is its leading (2n + m) block at
+gamma = 0.
 """
 from __future__ import annotations
 
@@ -59,6 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# stack_constraints is not called here; it stays importable from this
+# module because perfbench/tracer.py wraps it by this name.
 from .assembly import (
     SystemState,
     _contraction_values,
@@ -183,11 +186,12 @@ def midpoint_linearization(sys, state, y, h):
     y is (q_next, v_next, lambda_mid) for the plain scheme and (q_next,
     v_next, lambda_mid, gamma_mid) for the augmented one. Returns
     (r, update): r is midpoint_residual (ggl_residual), and update()
-    returns dy = -J^-1 r for J = midpoint_jacobian (ggl_jacobian) without
-    forming J. The position rows r_q = (q1 - q0) - h w are linear in q1,
-    and the flow w = v_mid + M^-1 G^T gamma moves with v1 by I / 2. So the
-    Newton position row dq1 - h dw = -r_q gives dq1 = (h/2) u - r_q with
-    u = 2 dw, which eliminates q1; for the plain scheme u = dv1. With
+    returns dy = -J^-1 r without forming J, the full Newton matrix
+    ggl_jacobian (for the plain scheme its gamma = 0 block,
+    midpoint_jacobian). The position rows r_q = (q1 - q0) - h w are linear
+    in q1, and the flow w = v_mid + M^-1 G^T gamma moves with v1 by I / 2.
+    So the Newton position row dq1 - h dw = -r_q gives dq1 = (h/2) u - r_q
+    with u = 2 dw, which eliminates q1; for the plain scheme u = dv1. With
     M = diag(mass_diag), G = G(q_mid), K = K(lambda) - W (W the
     configuration derivative of the applied loads, loaded systems only),
     D(x) = H x and Gs = G(q_mid + h w / 2) = G + (h/2) D(w), the plain
@@ -367,27 +371,11 @@ def _block_solve(sys, blocks, h, K, G, Gs, W, b):
 
 
 def midpoint_jacobian(sys, state, y, h):
-    """Analytic derivative of midpoint_residual with respect to y."""
-    n, m = sys.n, sys.m
-    q1, v1, lam = y[:n], y[n:2 * n], y[2 * n:]
-    qm = 0.5 * (state.q + q1)
-    vm = 0.5 * (state.v + v1)
-    _, G = stack_constraints(sys, qm)
-
-    J = np.zeros((2 * n + m, 2 * n + m))
-    J[:n, :n] = np.eye(n)
-    J[:n, n:2 * n] = -0.5 * h * np.eye(n)
-
-    Jq = 0.5 * h * constraint_hessian_contraction(sys, lam)
-    if sys.loads:
-        Jq -= 0.5 * h * input_map_jacobian(sys, qm, state.t + 0.5 * h)
-    J[n:2 * n, :n] = Jq
-    J[n:2 * n, n:2 * n] = np.diag(sys.mass_diag)
-    J[n:2 * n, 2 * n:] = h * G.T
-
-    J[2 * n:, :n] = 0.5 * h * constraint_velocity_gradient(sys, vm)
-    J[2 * n:, n:2 * n] = 0.5 * h * G
-    return J
+    """Analytic derivative of midpoint_residual with respect to y: the
+    leading (2n + m) block of ggl_jacobian at gamma = 0, where w = v_mid,
+    K(gamma) = 0 and the rows and columns of gamma drop out."""
+    k = 2 * sys.n + sys.m
+    return ggl_jacobian(sys, state, np.concatenate([y, np.zeros(sys.m)]), h)[:k, :k]
 
 
 def ggl_residual(sys, state, y, h):
@@ -419,7 +407,8 @@ def ggl_jacobian(sys, state, y, h):
     [I, 0, 0, 0] - h dw, [0, M, 0, 0] - h dp, h (G dw + [D(w) / 2, 0, 0, 0])
     and h (D dw + G M^-1 dp + [D(M^-1 p) / 2, D(w) / 2, 0, 0]). The
     corrector never forms this matrix: it is the reference the reduced
-    update of midpoint_linearization is tested against.
+    updates of midpoint_linearization are tested against, the plain
+    scheme's through its gamma = 0 block (midpoint_jacobian).
     """
     n, m = sys.n, sys.m
     qm, _, G, D, w, p = _midpoint_flow(sys, state, y, h)

@@ -68,7 +68,8 @@ class JointSpec:
 
     Attributes:
         pair_type: one of spherical, cylindrical, universal, revolute,
-            prismatic (case insensitive)
+            prismatic, spelled exactly so (the keys of
+            PAIR_CONSTRAINT_COUNTS)
         body_a: index of body A
         body_b: index of body B; equal to body_a for a ground attachment
         joint_location: shared anchor point in inertial coordinates at t = 0
@@ -83,10 +84,10 @@ class JointSpec:
     reference_axis: np.ndarray | None = None
 
     def __post_init__(self):
-        kind = self.pair_type.strip().lower()
-        if kind not in PAIR_CONSTRAINT_COUNTS:
-            raise JointError(f"unknown pair type {self.pair_type!r}")
-        object.__setattr__(self, "pair_type", kind)
+        kind = self.pair_type
+        if not isinstance(kind, str) or kind not in PAIR_CONSTRAINT_COUNTS:
+            raise JointError(f"unknown pair type {kind!r}; "
+                             f"expected one of {', '.join(PAIR_CONSTRAINT_COUNTS)}")
         object.__setattr__(
             self, "joint_location", np.asarray(self.joint_location, dtype=float)
         )

@@ -145,8 +145,13 @@ def test_simulate_failure_reports_and_exits_nonzero(runner, tmp_path):
     assert out.exists()  # partial trajectory is still written
 
 
-def test_simulate_unwritable_output_reports_error(runner, tmp_path):
-    """An --out path in a missing directory is one error line, exit 1."""
+def test_simulate_unwritable_output_reports_error(runner, tmp_path, monkeypatch):
+    """An --out path in a missing directory is one error line, exit 1, found
+    before the simulation runs."""
+    def no_simulate(*args):
+        pytest.fail("simulate ran although its output cannot be written")
+
+    monkeypatch.setattr("phmbd.cli.simulate", no_simulate)
     out = tmp_path / "no_such_dir" / "x.csv"
     result = runner.invoke(main, [
         "simulate", "--scenario", "flying_pair", "--h", "0.001",

@@ -1,4 +1,6 @@
 """Implicit midpoint schemes: residuals, Jacobians, stepping, trajectories."""
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -66,8 +68,21 @@ def test_simulate_rejects_misaligned_grid(flying_pair):
         simulate(sys, state, IntegratorConfig(h=0.3, t_end=1.0))
 
 
-def test_midpoint_jacobian_matches_fd(flying_pair):
-    sys, state = flying_pair
+# body-body Hessian blocks; ground pairs; an applied load, so the load slope W
+JACOBIAN_SCENARIOS = pytest.mark.parametrize("scenario", ["flying_pair", "slider_crank",
+                                                          "closed_loop"])
+
+
+def _jacobian_point(scenario, request):
+    """A scenario's system and initial state moved to t = 0.5, where the
+    closed_loop load peaks; the unloaded systems do not depend on t."""
+    sys, state = request.getfixturevalue(scenario)
+    return sys, replace(state, t=0.5)
+
+
+@JACOBIAN_SCENARIOS
+def test_midpoint_jacobian_matches_fd(scenario, request):
+    sys, state = _jacobian_point(scenario, request)
     rng = np.random.default_rng(SEED)
     h = 1e-3
     y = np.concatenate([state.q + h * state.v,
@@ -103,8 +118,9 @@ def test_reduced_midpoint_update_matches_full_solve(scenario, h, request):
     npt.assert_array_equal(midpoint_linearization(sys, state, y, h)[1](), dy)
 
 
-def test_ggl_jacobian_matches_fd(flying_pair):
-    sys, state = flying_pair
+@JACOBIAN_SCENARIOS
+def test_ggl_jacobian_matches_fd(scenario, request):
+    sys, state = _jacobian_point(scenario, request)
     rng = np.random.default_rng(SEED)
     h = 1e-3
     y = np.concatenate([state.q + h * state.v,

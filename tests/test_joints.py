@@ -219,5 +219,7 @@ def test_missing_axis_raises():
 
 
 def test_unknown_pair_type_raises():
-    with pytest.raises(JointError):
-        JointSpec("helical", 0, 1, np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    """Only the exact names are pair types: no case or space folding."""
+    for kind in ("helical", " Revolute ", "REVOLUTE"):
+        with pytest.raises(JointError, match="unknown pair type"):
+            JointSpec(kind, 0, 1, np.zeros(3), np.array([0.0, 0.0, 1.0]))
