@@ -56,6 +56,16 @@ def _integrator(scheme, tol, h, t_end):
         _fail(exc)
 
 
+def _create_outputs(what, *paths):
+    """Create or truncate the output files, or one error line: an output
+    that cannot be written fails before the runs, not after them."""
+    try:
+        for path in paths:
+            open(path, "w", encoding="utf-8").close()
+    except OSError as exc:
+        _fail(f"cannot write {what}: {exc}")
+
+
 @main.command("simulate")
 @_scenario_options
 @click.option("--h", type=float, default=None, help="Step size override.")
@@ -71,12 +81,7 @@ def simulate_cmd(scenario, scheme, tol, h, t_end, out):
     if out is None:
         out = f"{config.name}_{scheme}.csv"
     sidecar = (out[:-4] if out.endswith(".csv") else out) + ".json"
-    try:
-        # an output that cannot be written fails before the run, not after it
-        for path in (out, sidecar):
-            open(path, "w", encoding="utf-8").close()
-    except OSError as exc:
-        _fail(f"cannot write the run's output: {exc}")
+    _create_outputs("the run's output", out, sidecar)
 
     started = time.perf_counter()
     traj = simulate(system, state0, integ)
@@ -117,8 +122,15 @@ def converge(scenario, scheme, tol, h_list, ref_h, tbar, out):
     except ValueError:
         _fail("--h must be a comma-separated list of numbers")
     ref_integ, *integs = [_integrator(scheme, tol, h, tbar) for h in [ref_h] + steps]
+    if len(steps) < 3:
+        _fail(f"--h needs at least three step sizes to fit a slope, got {len(steps)}")
+    if out:
+        _create_outputs("the study's output", out)
 
     ref = simulate(system, state0, ref_integ)
+    if not ref.completed:
+        click.echo(json.dumps({"failure": ref.failure, "ref_h": ref_h}))
+        sys.exit(1)
     errors = {name: [] for name in ("q", "v", "lam", "H", "L")}
     for h, integ in zip(steps, integs):
         traj = simulate(system, state0, integ)
@@ -128,7 +140,10 @@ def converge(scenario, scheme, tol, h_list, ref_h, tbar, out):
         for name, value in rms_error(traj, ref, tbar).items():
             errors[name].append(value)
 
-    fits = convergence_orders(steps, errors)
+    try:
+        fits = convergence_orders(steps, errors)
+    except ValueError as exc:
+        _fail(exc)
     click.echo(f"{'quantity':>8}  {'slope':>7}  errors ({', '.join(f'h={h:g}' for h in steps)})")
     for name in ("q", "v", "lam", "H", "L"):
         err_txt = ", ".join(f"{e:.3e}" for e in errors[name])

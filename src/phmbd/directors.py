@@ -68,19 +68,16 @@ class RigidBody:
         inertias: principal moments of inertia (J1, J2, J3) about the
             center of mass, resolved in the director frame
         gravity: gravitational acceleration vector acting on this body
-        dimensions: bounding-box extents, informational only
     """
 
     index: int
     mass: float
     inertias: np.ndarray
     gravity: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    dimensions: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         object.__setattr__(self, "inertias", np.asarray(self.inertias, dtype=float))
         object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float))
-        object.__setattr__(self, "dimensions", np.asarray(self.dimensions, dtype=float))
         if not self.mass > 0.0:  # NaN included
             raise ValueError(f"body {self.index}: mass must be positive, got {self.mass}")
         # raises on non-physical inertia triples

@@ -1,43 +1,34 @@
 """Kinematic pairs as the power-preserving interconnection of body subsystems.
 
 Each body, with its orthonormality rows, gravity and its own loads, is a
-port-Hamiltonian system of its own (body_subsystem): state (q, v, lambda)
-of sizes 12, 12 and 6 and operators (E, J, z) from assembly.ph_operators.
-A pair joins the bodies it acts on through its port map, the column block
-of its Jacobian on each of its bodies (joints.jacobian), taken from the
-pair's table of rows alone; a ground pair has one block (port_maps). The
-pair's multipliers are the shared effort: with C the block on body k, the
+port-Hamiltonian system of its own, with state (q_k, v_k, lambda_k) of
+sizes 12, 12 and 6. The bodies with their pairs removed are the direct sum
+of these subsystems: one MultibodySystem without pairs, whose
+assembly.ph_operators are block-diagonal over the bodies. A pair joins the
+bodies it acts on through its port map, the column block of its Jacobian
+on each of its bodies (joints.jacobian), taken from the pair's table of
+rows alone; a ground pair has one block (port_maps). The pair's
+multipliers are the shared effort: with C the block on body k, the
 reaction -C^T lambda enters body k's momentum rows and the flow C v_k
 closes the pair's multiplier rows, so the coupled J stays skew (couple).
 The rows of a pair are its reaction channels, in the row form of Betsch
 and Leyendecker (2006) and the Dirac-structure view of van der Schaft and
 Jeltsema (Port-Hamiltonian Systems Theory, 2014).
 
-Coupling all subsystems through all pairs gives back the assembled system
-to rounding: the coupled (E, J, z), reordered, are ph_operators of the
-whole system, and the coupled midpoint residual is integrate's
+Coupling the subsystems through all pairs gives back the assembled system
+to rounding: the coupled (E, J, z) are ph_operators of the whole system,
+in its own order, and the coupled midpoint residual is integrate's
 midpoint_residual. The index-reduced operators (ggl_operators) are not
 coupled here.
 """
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from .assembly import BodyLoad, MultibodySystem, ph_operators
+from .assembly import MultibodySystem, ph_operators
 from .joints import GROUND_CONFIG, jacobian
 
-__all__ = ["body_subsystem", "port_maps", "couple"]
-
-_SUB_SIZE = 30  # single-body subsystem state (q, v, lambda): 12 + 12 + 6
-
-
-def body_subsystem(sys, k):
-    """Body k of sys as a system of its own, rebased to index 0, with the
-    loads that act on it and no pairs."""
-    loads = [BodyLoad(0, load.wrench, load.r_material) for load in sys.loads if load.body == k]
-    return MultibodySystem([dataclasses.replace(sys.bodies[k], index=0)], (), loads)
+__all__ = ["port_maps", "couple"]
 
 
 def port_maps(sys, q):
@@ -58,31 +49,23 @@ def port_maps(sys, q):
 
 def couple(sys, q, v, lam):
     """Operators (E, J, z) of the body subsystems of sys joined through all
-    its pairs, at the system point (q, v, lam), and the order of the state.
+    its pairs, at the system point (q, v, lam), in the assembled order
+    (q, v, lambda) of sys.
 
-    The coupled state is (x_0, ..., x_{N-1}, lambda_joints) with
-    x_k = (q_k, v_k, lambda_k) body k's subsystem state. order[i] is the
-    coupled index of entry i of the assembled state (q, v, lambda), so
-    E[np.ix_(order, order)], J[np.ix_(order, order)] and z[order] are
-    ph_operators(sys, q, v, lam).
+    The bodies of sys without its pairs give the leading (2n + m_internal)
+    block. A pair's port map C on body k adds -C^T in body k's momentum
+    rows and the pair's multiplier columns, and C in the transposed place.
     """
-    nb = len(sys.bodies)
-    size = _SUB_SIZE * nb + sys.m - sys.m_internal
+    size, row = 2 * sys.n + sys.m, 2 * sys.n + sys.m_internal
     E, J, z = np.zeros((size, size)), np.zeros((size, size)), np.zeros(size)
-    for k in range(nb):
-        s = slice(_SUB_SIZE * k, _SUB_SIZE * (k + 1))
-        E[s, s], J[s, s], z[s] = ph_operators(body_subsystem(sys, k), sys.body_config(q, k),
-                                              sys.body_config(v, k), lam[6 * k:6 * k + 6])
-    row = _SUB_SIZE * nb
+    free = MultibodySystem(sys.bodies, (), sys.loads)
+    E[:row, :row], J[:row, :row], z[:row] = ph_operators(free, q, v, lam[:sys.m_internal])
     z[row:] = lam[sys.m_internal:]
     for joint, blocks in zip(sys.joints, port_maps(sys, q)):
         efforts = slice(row, row + joint.count)
         for k, C in blocks:
-            flows = slice(_SUB_SIZE * k + 12, _SUB_SIZE * k + 24)
+            flows = slice(sys.n + 12 * k, sys.n + 12 * k + 12)
             J[flows, efforts] = -C.T
             J[efforts, flows] = C
         row += joint.count
-    sub = np.arange(_SUB_SIZE * nb).reshape(nb, _SUB_SIZE)
-    order = np.concatenate([sub[:, :12].ravel(), sub[:, 12:24].ravel(), sub[:, 24:].ravel(),
-                            np.arange(_SUB_SIZE * nb, size)])
-    return E, J, z, order
+    return E, J, z

@@ -323,8 +323,7 @@ def build_system(config):
     (a NaN one first) as "body k: internal constraint row r" or
     "joint k (type): row r of the pair".
     """
-    bodies = [RigidBody(b.index, b.mass, b.inertias, gravity=b.gravity,
-                        dimensions=b.dimensions) for b in config.bodies]
+    bodies = [RigidBody(b.index, b.mass, b.inertias, gravity=b.gravity) for b in config.bodies]
     configs = {b.index: np.asarray(b.initial_position) for b in config.bodies}
     joints = []
     for k, j in enumerate(config.joints):

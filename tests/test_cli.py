@@ -75,6 +75,14 @@ def test_simulate_rejects_bad_integrator_input(runner, tmp_path, args):
     assert not out.exists()
 
 
+def _error_line(result):
+    """One error line on the output, exit 1, no traceback."""
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error:") and result.output.count("\n") == 1
+    assert "Traceback" not in result.output
+
+
 def _rejected_by(runner, tmp_path, command, doc):
     """Run command on doc: one error line, exit 1, no traceback, no output
     file."""
@@ -83,10 +91,7 @@ def _rejected_by(runner, tmp_path, command, doc):
     out = tmp_path / "bad.csv"
     args = [command, "--scenario", str(path)]
     result = runner.invoke(main, args + (["--out", str(out)] if command == "simulate" else []))
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)
-    assert result.output.startswith("error:") and result.output.count("\n") == 1
-    assert "Traceback" not in result.output
+    _error_line(result)
     assert not out.exists()
 
 
@@ -145,13 +150,14 @@ def test_simulate_failure_reports_and_exits_nonzero(runner, tmp_path):
     assert out.exists()  # partial trajectory is still written
 
 
+def _no_simulate(*args):
+    pytest.fail("simulate ran although the command was bound to fail")
+
+
 def test_simulate_unwritable_output_reports_error(runner, tmp_path, monkeypatch):
     """An --out path in a missing directory is one error line, exit 1, found
     before the simulation runs."""
-    def no_simulate(*args):
-        pytest.fail("simulate ran although its output cannot be written")
-
-    monkeypatch.setattr("phmbd.cli.simulate", no_simulate)
+    monkeypatch.setattr("phmbd.cli.simulate", _no_simulate)
     out = tmp_path / "no_such_dir" / "x.csv"
     result = runner.invoke(main, [
         "simulate", "--scenario", "flying_pair", "--h", "0.001",
@@ -187,6 +193,52 @@ def test_converge_prints_slopes(runner, tmp_path):
     assert set(doc["slopes"]) >= {"q", "v", "lam", "H", "L"}
     assert 1.6 <= doc["slopes"]["q"] <= 2.4
     assert "q" in result.output
+
+
+def test_converge_needs_three_step_sizes(runner, monkeypatch):
+    """Two step sizes cannot fit a slope: one error line before any run."""
+    monkeypatch.setattr("phmbd.cli.simulate", _no_simulate)
+    result = runner.invoke(main, [
+        "converge", "--scenario", "flying_pair", "--h", "1e-2,5e-3",
+        "--ref-h", "1e-3", "--tbar", "0.01"])
+    _error_line(result)
+    assert "three step sizes" in result.output
+
+
+def test_converge_unwritable_output_reports_error(runner, tmp_path, monkeypatch):
+    """An --out path in a missing directory is one error line, exit 1, found
+    before the reference and the step sizes run."""
+    monkeypatch.setattr("phmbd.cli.simulate", _no_simulate)
+    out = tmp_path / "no_such_dir" / "x.json"
+    result = runner.invoke(main, [
+        "converge", "--scenario", "flying_pair", "--h", "1e-2,5e-3,2e-3",
+        "--ref-h", "1e-3", "--tbar", "0.01", "--out", str(out)])
+    _error_line(result)
+    assert "error: cannot write" in result.output and "no_such_dir" in result.output
+    assert not out.parent.exists()
+
+
+def test_converge_zero_errors_report_error(runner):
+    """A step size equal to the reference's has error exactly zero, which
+    leaves two samples for the slope fit: one error line."""
+    result = runner.invoke(main, [
+        "converge", "--scenario", "flying_pair", "--h", "1e-2,2e-3,1e-3",
+        "--ref-h", "1e-3", "--tbar", "0.01"])
+    _error_line(result)
+    assert "three positive errors" in result.output
+
+
+def test_converge_failed_reference_reports_failure(runner):
+    """A reference run that diverges is reported like a failed step-size
+    run: the failure record and exit 1, no traceback."""
+    result = runner.invoke(main, [
+        "converge", "--scenario", "slider_crank", "--integrator", "mp-ggl",
+        "--h", "0.02,0.01,0.005", "--ref-h", "0.05", "--tbar", "0.5"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    blob = json.loads(result.output.strip().splitlines()[-1])
+    assert blob["ref_h"] == 0.05 and blob["failure"]["step"] >= 1
 
 
 def test_init_velocities_matches_tables(runner):

@@ -1,11 +1,13 @@
 """Port interconnection of single-body subsystems through the pairs."""
+import dataclasses
+
 import numpy as np
-import numpy.testing as npt
 import pytest
 
-from phmbd.assembly import SystemState, input_assembly, ph_operators
+from phmbd.assembly import (BodyLoad, MultibodySystem, SystemState, input_assembly,
+                            ph_operators)
 from phmbd.integrate import IntegratorConfig, midpoint_residual, simulate
-from phmbd.interconnect import body_subsystem, couple, port_maps
+from phmbd.interconnect import couple, port_maps
 from phmbd.scenario import build_system, load_scenario
 
 from conftest import cylindrical_consistent_pair
@@ -39,28 +41,24 @@ def _flying_pair_ports(sys, q_a, q_b):
 
 def assert_coupled_steps_are_midpoint_steps(sys, traj, newton_tol):
     """At every step of an mp run, the coupled midpoint residual
-    E dx - h (J z + B u), reordered to the assembled state with its
-    multiplier rows negated, equals midpoint_residual to 1e-13 and is
-    within the Newton tolerance.
+    E dx - h (J z + B u), with its multiplier rows negated, equals
+    midpoint_residual to 1e-13 and is within the Newton tolerance.
 
     All operators are taken at the midpoint (q_mid, v_mid) and the step's
-    midpoint multipliers; B u is each subsystem's own load force at
-    t + h / 2 on its momentum rows.
+    midpoint multipliers; B u is the load force at t + h / 2 on the
+    momentum rows.
     """
     assert traj.completed and traj.rows > 1
     h, n = traj.h, sys.n
-    subsystems = [body_subsystem(sys, k) for k in range(len(sys.bodies))]
     for i in range(traj.rows - 1):
         q0, q1, v0, v1, lam = traj.q[i], traj.q[i + 1], traj.v[i], traj.v[i + 1], traj.lam[i + 1]
         qm, vm = 0.5 * (q0 + q1), 0.5 * (v0 + v1)
-        E, J, z, order = couple(sys, qm, vm, lam)
+        E, J, z = couple(sys, qm, vm, lam)
         dx = np.zeros(z.size)
-        dx[order[:2 * n]] = np.concatenate([q1 - q0, v1 - v0])
+        dx[:2 * n] = np.concatenate([q1 - q0, v1 - v0])
         Bu = np.zeros(z.size)
-        for k, sub in enumerate(subsystems):
-            Bu[30 * k + 12:30 * k + 24] = input_assembly(sub, qm[12 * k:12 * k + 12],
-                                                         traj.t[i] + 0.5 * h)
-        coupled = (E @ dx - h * (J @ z + Bu))[order]
+        Bu[n:2 * n] = input_assembly(sys, qm, traj.t[i] + 0.5 * h)
+        coupled = E @ dx - h * (J @ z + Bu)
         coupled[2 * n:] *= -1.0
         state = SystemState(traj.t[i], q0, v0, traj.lam[i])
         reference = midpoint_residual(sys, state, np.concatenate([q1, v1, lam]), h)
@@ -96,16 +94,15 @@ def test_nullspace_equivalence_random_consistent_configs(flying_pair):
 @pytest.mark.parametrize("case", OPERATOR_CASES)
 def test_coupled_operators_are_ph_operators(case):
     """Body subsystems joined through every pair: J is exactly skew, and
-    E, J, z reordered by `order` are ph_operators of the assembled
-    system, with the port maps taken from the pairs, not from its G."""
+    E, J, z are ph_operators of the assembled system, in its order, with
+    the port maps taken from the pairs, not from its G."""
     sys, q = _case_system(case)
     rng = np.random.default_rng(SEED)
     q = q + 0.1 * rng.standard_normal(sys.n)
     v, lam = rng.standard_normal(sys.n), rng.standard_normal(sys.m)
-    E, J, z, order = couple(sys, q, v, lam)
+    E, J, z = couple(sys, q, v, lam)
     assert np.array_equal(J + J.T, np.zeros_like(J))
-    ix = np.ix_(order, order)
-    for coupled, assembled in zip((E[ix], J[ix], z[order]), ph_operators(sys, q, v, lam)):
+    for coupled, assembled in zip((E, J, z), ph_operators(sys, q, v, lam)):
         assert np.abs(coupled - assembled).max() <= 1e-15 * np.abs(assembled).max()
 
 
@@ -114,27 +111,41 @@ def test_transformer_couple_keeps_skewness(flying_pair):
     its cylindrical pair: J is exactly skew at random multipliers."""
     sys, state = flying_pair
     lam = np.random.default_rng(SEED).standard_normal(sys.m)
-    E, J, z, _ = couple(sys, state.q, state.v, lam)
+    E, J, z = couple(sys, state.q, state.v, lam)
     assert E.shape == J.shape == (64, 64) and z.shape == (64,)
     assert np.array_equal(J + J.T, np.zeros_like(J))
 
 
-def test_body_subsystem_rebased(flying_pair, closed_loop):
-    sys, _ = flying_pair
-    sub = body_subsystem(sys, 1)
-    assert (sub.n, sub.m) == (12, 6)
-    assert len(sub.bodies) == 1 and sub.bodies[0].index == 0
-    npt.assert_allclose(sub.mass_diag, sys.mass_diag[12:], atol=0.0)
-
-    # a loaded body keeps its loads, rebased with it
-    sys, state = closed_loop
-    (load,) = sys.loads
-    sub = body_subsystem(sys, load.body)
-    assert [sub_load.body for sub_load in sub.loads] == [0]
-    q = sys.body_config(state.q, load.body)
-    npt.assert_array_equal(input_assembly(sub, q, 0.7),
-                           input_assembly(sys, state.q, 0.7)[12 * load.body:12 * load.body + 12])
-    assert all(not body_subsystem(sys, k).loads for k in range(len(sys.bodies)) if k != load.body)
+@pytest.mark.parametrize("name", ["flying_pair", "closed_loop"])
+def test_pair_free_system_is_direct_sum_of_bodies(name, request):
+    """The bodies of a scenario without its pairs: ph_operators are
+    block-diagonal over each body's (q_k, v_k, lambda_k), and each block,
+    like the body's load force, is bit for bit that of the body built as a
+    system of its own, its loads moved with it to index 0. closed_loop
+    has a loaded body."""
+    sys, state = request.getfixturevalue(name)
+    free = MultibodySystem(sys.bodies, (), sys.loads)
+    rng = np.random.default_rng(SEED)
+    q = state.q + 0.1 * rng.standard_normal(sys.n)
+    v, lam = rng.standard_normal(sys.n), rng.standard_normal(free.m)
+    E, J, z = ph_operators(free, q, v, lam)
+    f = input_assembly(free, q, 0.7)
+    n, seen = sys.n, np.zeros(z.size, dtype=bool)
+    for k, body in enumerate(sys.bodies):
+        loads = [BodyLoad(0, load.wrench, load.r_material) for load in sys.loads if load.body == k]
+        own = MultibodySystem([dataclasses.replace(body, index=0)], (), loads)
+        x = np.r_[12 * k:12 * k + 12, n + 12 * k:n + 12 * k + 12, 2 * n + 6 * k:2 * n + 6 * k + 6]
+        ix = np.ix_(x, x)
+        q_k, v_k = sys.body_config(q, k), sys.body_config(v, k)
+        for block, expected in zip((E[ix], J[ix], z[x]),
+                                   ph_operators(own, q_k, v_k, lam[6 * k:6 * k + 6])):
+            assert np.array_equal(block, expected)
+        assert np.array_equal(f[x[:12]], input_assembly(own, q_k, 0.7))
+        seen[x] = True
+        # nothing couples body k to any other body
+        for op in (E, J):
+            assert not op[np.ix_(x, ~seen)].any() and not op[np.ix_(~seen, x)].any()
+    assert seen.all() and f.any() == bool(sys.loads)
 
 
 def test_interconnect_discretize_commute():
