@@ -9,9 +9,10 @@ differential-algebraic form
     E x_dot = J(x) z(x) + B(q) u,    E^T z = grad H,
 
 with skew-symmetric J, so the Hamiltonian obeys dH/dt = y^T u with the
-collocated output y = B^T z. ggl_operators gives (E, J, z) of the
-index-reduced form, which adds a multiplier block gamma for the velocity
-constraints, and ph_operators is its leading block at gamma = 0.
+collocated output y = B^T z. ph_operators gives (E, J, z), ggl_operators
+those of the index-reduced form with a multiplier block gamma for the
+velocity constraints, each at its own size from one builder (_operators)
+that interconnect.couple calls too.
 port_flow writes J z + B u once as the flow (w, p): the configuration
 rate w = v + M^-1 G^T gamma, which is also the collocated output, and the
 momentum rate p. Both midpoint schemes (phmbd.integrate) and the discrete
@@ -33,15 +34,17 @@ on those values, and g(q) and G(q) x of many rows at once take the same
 bincounts over all rows (_constraint_values); stack_constraints,
 constraint_velocity_gradient and constraint_hessian_contraction scatter
 them into the dense matrices that the full Newton matrices
-(integrate.midpoint_jacobian, ggl_jacobian) and the operator triples need.
-The reduced Newton matrices that the corrector solves take the values at
-flat positions fixed per system instead, with no dense K, G or D formed.
+(integrate.midpoint_jacobian, ggl_jacobian) need, as the operator triples
+do with G and D (_Pattern.dense). The reduced Newton matrices that the
+corrector solves take the values at flat positions fixed per system
+instead, with no dense K, G or D formed.
 
 Each applied load (BodyLoad) is a wrench u = (F, tau) at the arm
 r = r_material d of its body. Its generalized force f = B(q) u and the
 configuration slope W of f, one (9, 9) block on the body's directors, are
-both written from r and the moment c = r x F + tau, for all loads in one
-vectorized pass (input_assembly, _input_map_blocks).
+both written from r and the moment c = r x F + tau, over all loads at
+once (_load_moments), but once each by input_assembly and
+_input_map_blocks: twice per loaded Newton iteration (ROADMAP.md, item 18).
 
 The constants are exact: every row is a dot-product row of a table, the
 pairs' (phmbd.joints) and the six orthonormality rows of each body
@@ -786,20 +789,22 @@ def consistency(sys, q, v):
     return np.abs(g).max(axis=-1), np.abs(Gv).max(axis=-1)
 
 
-def _assemble_skew(blocks, sizes):
-    """Assemble a block matrix that is skew-symmetric by construction.
-
-    blocks maps (i, j) with i <= j to the block; the (j, i) block is the
-    exact negated transpose, so J + J^T vanishes identically.
-    """
-    total = sum(sizes)
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    J = np.zeros((total, total))
-    for (i, j), block in blocks.items():
-        J[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = block
-        if i != j:
-            J[offs[j]:offs[j + 1], offs[i]:offs[i + 1]] = -block.T
-    return J
+def _operators(sys, q, v, lam, size):
+    """(E, J, z) of the index-2 formulation in arrays of the given size, and
+    the dense G = G(q): E = diag(I, M, 0), J's I / -I and -G^T / G pairs,
+    each lower block the exact negated transpose of its upper one, and
+    z = (grad V, v, lam). Every other entry is zero, for the caller to
+    fill (ggl_operators, interconnect.couple)."""
+    n, m = sys.n, sys.m
+    G = sys._G_pattern.dense(_jacobian_values(sys, np.asarray(q, dtype=float)))
+    E, J, z = np.zeros((size, size)), np.zeros((size, size)), np.zeros(size)
+    np.fill_diagonal(E[:2 * n, :2 * n], np.concatenate([np.ones(n), sys.mass_diag]))
+    np.fill_diagonal(J[:n, n:2 * n], 1.0)
+    np.fill_diagonal(J[n:2 * n, :n], -1.0)
+    J[n:2 * n, 2 * n:2 * n + m] = -G.T
+    J[2 * n:2 * n + m, n:2 * n] = G
+    z[:2 * n + len(lam)] = np.concatenate([sys._grad_potential, v, lam])
+    return E, J, z, G
 
 
 def ph_operators(sys, q, v, lam):
@@ -807,47 +812,30 @@ def ph_operators(sys, q, v, lam):
 
     Sizes (2n + m) square; E = diag(I, M, 0), J is skew with the constraint
     Jacobian in its coupling blocks, and z = (grad V, v, lambda) satisfies
-    E^T z = grad H. It is the leading block of ggl_operators at gamma = 0,
-    so J z + B u = (v, p, G v) with p the momentum rate of port_flow.
+    E^T z = grad H, so J z + B u = (v, p, G v) with p the momentum rate of
+    port_flow. It equals the leading block of ggl_operators at gamma = 0.
     """
-    k = 2 * sys.n + sys.m
-    E, J, z = ggl_operators(sys, q, v, lam, np.zeros(sys.m))
-    return E[:k, :k], J[:k, :k], z[:k]
+    return _operators(sys, q, v, lam, 2 * sys.n + sys.m)[:3]
 
 
 def ggl_operators(sys, q, v, lam, gamma):
     """Operator triple (E, J, z) of the index-reduced formulation.
 
-    Sizes (2n + 2m) square. The extra multiplier block enforces the
-    velocity-level constraints; J remains skew, with
-    J44 = D M^-1 G^T - (D M^-1 G^T)^T for D = d/dq [G(q) v].
+    Sizes (2n + 2m) square: ph_operators' blocks, bordered by the velocity
+    multipliers gamma. Their columns [M^-1 G^T; -D^T; G M^-1 G^T] enter J
+    with their negated transpose as rows, and J44 = A - A^T for
+    A = D M^-1 G^T with D = d/dq [G(q) v], so J stays exactly skew.
     """
-    q = np.asarray(q, dtype=float)
+    k = 2 * sys.n + sys.m
     v = np.asarray(v, dtype=float)
-    n, m = sys.n, sys.m
-    _, G = stack_constraints(sys, q)
-    _, gradV = potential(sys, q)
-    D = constraint_velocity_gradient(sys, v)
-    Minv = sys.mass_diag_inv
-    GMinv = G * Minv
-    A = (D * Minv) @ G.T
-
-    E = np.zeros((2 * n + 2 * m, 2 * n + 2 * m))
-    E[:n, :n] = np.eye(n)
-    E[n:2 * n, n:2 * n] = np.diag(sys.mass_diag)
-
-    J = _assemble_skew(
-        {
-            (0, 1): np.eye(n),
-            (0, 3): GMinv.T,
-            (1, 2): -G.T,
-            (1, 3): -D.T,
-            (2, 3): GMinv @ G.T,
-            (3, 3): A - A.T,
-        },
-        [n, n, m, m],
-    )
-    z = np.concatenate([gradV, v, lam, gamma])
+    E, J, z, G = _operators(sys, q, v, lam, k + sys.m)
+    D = sys._G_pattern.dense(_slope_values(sys, v))
+    GMinv = G * sys.mass_diag_inv
+    A = (D * sys.mass_diag_inv) @ G.T
+    J[:k, k:] = np.concatenate([GMinv.T, -D.T, GMinv @ G.T])
+    J[k:, :k] = -J[:k, k:].T
+    J[k:, k:] = A - A.T
+    z[k:] = gamma
     return E, J, z
 
 

@@ -6,8 +6,11 @@ rod's and the block's from the assembled constraint Jacobian, G(q0) v = 0
 """
 
 import json
+import os
 import sys
+import tempfile
 import time
+from contextlib import contextmanager
 
 import click
 import numpy as np
@@ -56,14 +59,30 @@ def _integrator(scheme, tol, h, t_end):
         _fail(exc)
 
 
-def _create_outputs(what, *paths):
-    """Create or truncate the output files, or one error line: an output
-    that cannot be written fails before the runs, not after them."""
+@contextmanager
+def _outputs(what, *paths):
+    """A new temporary file beside each output path, or one error line: an
+    output that cannot be written fails before the runs, not after them.
+    Once the block completes, the files replace their paths with the mode of
+    a new file; on any other exit they go, and an earlier output stays."""
+    temps = []
     try:
         for path in paths:
-            open(path, "w", encoding="utf-8").close()
+            fd, temp = tempfile.mkstemp(".tmp", f".{os.path.basename(path)}.",
+                                        os.path.dirname(path) or ".")
+            os.close(fd)
+            temps.append(temp)
+        yield temps
+        umask = os.umask(0)
+        os.umask(umask)
+        for temp, path in zip(temps, paths):
+            os.chmod(temp, 0o666 & ~umask)
+            os.replace(temp, path)
     except OSError as exc:
         _fail(f"cannot write {what}: {exc}")
+    finally:
+        for temp in filter(os.path.exists, temps):
+            os.remove(temp)
 
 
 @main.command("simulate")
@@ -81,18 +100,13 @@ def simulate_cmd(scenario, scheme, tol, h, t_end, out):
     if out is None:
         out = f"{config.name}_{scheme}.csv"
     sidecar = (out[:-4] if out.endswith(".csv") else out) + ".json"
-    _create_outputs("the run's output", out, sidecar)
-
-    started = time.perf_counter()
-    traj = simulate(system, state0, integ)
-    elapsed = time.perf_counter() - started
-    report = conservation_report(traj, system)
-
-    try:
-        write_trajectory_csv(traj, out)
-        write_summary_json(config, traj, report, scheme, tol, sidecar)
-    except OSError as exc:
-        _fail(f"cannot write the run's output: {exc}")
+    with _outputs("the run's output", out, sidecar) as (out_temp, sidecar_temp):
+        started = time.perf_counter()
+        traj = simulate(system, state0, integ)
+        elapsed = time.perf_counter() - started
+        report = conservation_report(traj, system)
+        write_trajectory_csv(traj, out_temp)
+        write_summary_json(config, traj, report, scheme, tol, sidecar_temp)
 
     if not traj.completed:
         click.echo(json.dumps({"failure": traj.failure, "rows": int(traj.rows),
@@ -124,36 +138,34 @@ def converge(scenario, scheme, tol, h_list, ref_h, tbar, out):
     ref_integ, *integs = [_integrator(scheme, tol, h, tbar) for h in [ref_h] + steps]
     if len(steps) < 3:
         _fail(f"--h needs at least three step sizes to fit a slope, got {len(steps)}")
-    if out:
-        _create_outputs("the study's output", out)
-
-    ref = simulate(system, state0, ref_integ)
-    if not ref.completed:
-        click.echo(json.dumps({"failure": ref.failure, "ref_h": ref_h}))
-        sys.exit(1)
-    errors = {name: [] for name in ("q", "v", "lam", "H", "L")}
-    for h, integ in zip(steps, integs):
-        traj = simulate(system, state0, integ)
-        if not traj.completed:
-            click.echo(json.dumps({"failure": traj.failure, "h": h}))
+    with _outputs("the study's output", *([out] if out else [])) as temps:
+        ref = simulate(system, state0, ref_integ)
+        if not ref.completed:
+            click.echo(json.dumps({"failure": ref.failure, "ref_h": ref_h}))
             sys.exit(1)
-        for name, value in rms_error(traj, ref, tbar).items():
-            errors[name].append(value)
+        errors = {name: [] for name in ("q", "v", "lam", "H", "L")}
+        for h, integ in zip(steps, integs):
+            traj = simulate(system, state0, integ)
+            if not traj.completed:
+                click.echo(json.dumps({"failure": traj.failure, "h": h}))
+                sys.exit(1)
+            for name, value in rms_error(traj, ref, tbar).items():
+                errors[name].append(value)
+        try:
+            fits = convergence_orders(steps, errors)
+        except ValueError as exc:
+            _fail(exc)
+        for temp in temps:
+            with open(temp, "w", encoding="utf-8") as fh:
+                json.dump({"h": steps, "ref_h": ref_h, "t_bar": tbar, "errors": errors,
+                           "slopes": {k: fits[k].slope for k in fits}}, fh, indent=2)
+                fh.write("\n")
 
-    try:
-        fits = convergence_orders(steps, errors)
-    except ValueError as exc:
-        _fail(exc)
     click.echo(f"{'quantity':>8}  {'slope':>7}  errors ({', '.join(f'h={h:g}' for h in steps)})")
     for name in ("q", "v", "lam", "H", "L"):
         err_txt = ", ".join(f"{e:.3e}" for e in errors[name])
         click.echo(f"{name:>8}  {fits[name].slope:7.3f}  {err_txt}")
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump({"h": steps, "ref_h": ref_h, "t_bar": tbar,
-                       "errors": errors,
-                       "slopes": {k: fits[k].slope for k in fits}}, fh, indent=2)
-            fh.write("\n")
         click.echo(f"wrote {out}")
 
 

@@ -25,7 +25,7 @@ of the sparse constant Hessian H. Each is evaluated as its values on a
 sparsity pattern fixed at assembly; the residuals' products G w and
 G^T lambda use those values directly, and so do the Newton updates. The
 applied loads enter as their force f = B(q) u and its slope W, one block
-per load, both from one vectorized pass over the loads
+per load, each from its own pass over all loads at the same midpoint
 (assembly.input_assembly, assembly._input_map_blocks).
 
 The position rows q1 - q0 - h w are linear in q1 with a constant

@@ -23,9 +23,7 @@ coupled here.
 """
 from __future__ import annotations
 
-import numpy as np
-
-from .assembly import MultibodySystem, ph_operators
+from .assembly import MultibodySystem, _operators
 from .joints import GROUND_CONFIG, jacobian
 
 __all__ = ["port_maps", "couple"]
@@ -52,15 +50,15 @@ def couple(sys, q, v, lam):
     its pairs, at the system point (q, v, lam), in the assembled order
     (q, v, lambda) of sys.
 
-    The bodies of sys without its pairs give the leading (2n + m_internal)
-    block. A pair's port map C on body k adds -C^T in body k's momentum
-    rows and the pair's multiplier columns, and C in the transposed place.
+    The bodies of sys without its pairs write their operators straight
+    into the (2n + m) arrays, with z = (grad V, v, lam) whole; their J is
+    the leading (2n + m_internal) block. A pair's port map C on body k then
+    adds -C^T in body k's momentum rows and the pair's multiplier columns,
+    and C in the transposed place.
     """
-    size, row = 2 * sys.n + sys.m, 2 * sys.n + sys.m_internal
-    E, J, z = np.zeros((size, size)), np.zeros((size, size)), np.zeros(size)
+    row = 2 * sys.n + sys.m_internal
     free = MultibodySystem(sys.bodies, (), sys.loads)
-    E[:row, :row], J[:row, :row], z[:row] = ph_operators(free, q, v, lam[:sys.m_internal])
-    z[row:] = lam[sys.m_internal:]
+    E, J, z, _ = _operators(free, q, v, lam, 2 * sys.n + sys.m)
     for joint, blocks in zip(sys.joints, port_maps(sys, q)):
         efforts = slice(row, row + joint.count)
         for k, C in blocks:

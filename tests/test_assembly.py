@@ -23,6 +23,7 @@ from phmbd.joints import residual as joint_residual
 
 from conftest import fd_jacobian
 from reference import loop_angular_momentum
+from test_interconnect import OPERATOR_CASES, _case_system
 from test_kernel import _pendulum_chain
 
 SEED = 4242
@@ -196,6 +197,28 @@ def test_ggl_operator_structure(flying_pair):
     minv = 1.0 / sys.mass_diag
     J44 = D @ (minv[:, None] * G.T)
     npt.assert_allclose(J[2 * n + m:, 2 * n + m:], J44 - J44.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", OPERATOR_CASES)
+def test_ph_operators_are_ggl_operators_at_zero_gamma(case):
+    """ph_operators and ggl_operators are written by two callers of one
+    builder: ph_operators is exactly the leading (2n + m) block of
+    ggl_operators at gamma = 0, ggl_operators' J is exactly skew at random
+    gamma, and E^T z = (grad V, M v, 0, 0)."""
+    sys, q = _case_system(case)
+    rng = np.random.default_rng(SEED)
+    q = q + 0.1 * rng.standard_normal(sys.n)
+    v = rng.standard_normal(sys.n)
+    lam, gam = rng.standard_normal((2, sys.m))
+    k = 2 * sys.n + sys.m
+    E, J, z = ggl_operators(sys, q, v, lam, np.zeros(sys.m))
+    for block, own in zip((E[:k, :k], J[:k, :k], z[:k]), ph_operators(sys, q, v, lam)):
+        assert np.array_equal(block, own)
+    E, J, z = ggl_operators(sys, q, v, lam, gam)
+    assert np.array_equal(J + J.T, np.zeros_like(J))
+    _, gradV = potential(sys, q)
+    assert np.array_equal(E.T @ z, np.concatenate([gradV, sys.mass_diag * v,
+                                                   np.zeros(2 * sys.m)]))
 
 
 def test_input_map_against_wrench_map(closed_loop):

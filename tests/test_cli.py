@@ -39,6 +39,12 @@ def test_simulate_writes_csv_and_summary(runner, tmp_path):
     doc = json.loads(sidecar.read_text())
     assert doc["summary"]["completed"] is True
     assert doc["summary"]["rows"] == 11
+    # the outputs take the mode of a file newly opened for writing
+    probe = tmp_path / "probe"
+    probe.write_text("")
+    modes = {p.stat().st_mode & 0o777 for p in (out, sidecar, probe)}
+    assert len(modes) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fp.csv", "fp.json", "probe"]
 
 
 @pytest.mark.parametrize("scheme", ["mp", "mp-ggl"])
@@ -169,6 +175,23 @@ def test_simulate_unwritable_output_reports_error(runner, tmp_path, monkeypatch)
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_simulate_raising_run_keeps_earlier_output(runner, tmp_path, monkeypatch, error):
+    """A run that raises, or is interrupted, leaves an earlier output and its
+    sidecar as they were, with no temporary file beside them."""
+    def _raise(*args):
+        raise error
+
+    monkeypatch.setattr("phmbd.cli.simulate", _raise)
+    out, sidecar = tmp_path / "x.csv", tmp_path / "x.json"
+    out.write_text("earlier run\n")
+    sidecar.write_text("earlier summary\n")
+    result = runner.invoke(main, ["simulate", "--scenario", "flying_pair", "--out", str(out)])
+    assert result.exit_code == 1
+    assert out.read_text() == "earlier run\n" and sidecar.read_text() == "earlier summary\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.json"]
+
+
 def test_simulate_slider_crank_midpoint_coarse_step(runner, tmp_path):
     """Midpoint at h=0.02: velocity-level oscillations stay bounded and the
     corrector keeps converging, so the run completes."""
@@ -228,17 +251,22 @@ def test_converge_zero_errors_report_error(runner):
     assert "three positive errors" in result.output
 
 
-def test_converge_failed_reference_reports_failure(runner):
+def test_converge_failed_reference_reports_failure(runner, tmp_path):
     """A reference run that diverges is reported like a failed step-size
-    run: the failure record and exit 1, no traceback."""
+    run: the failure record and exit 1, no traceback. An earlier study at
+    the --out path is left as it was, with no temporary file beside it."""
+    out = tmp_path / "study.json"
+    out.write_text("earlier study\n")
     result = runner.invoke(main, [
         "converge", "--scenario", "slider_crank", "--integrator", "mp-ggl",
-        "--h", "0.02,0.01,0.005", "--ref-h", "0.05", "--tbar", "0.5"])
+        "--h", "0.02,0.01,0.005", "--ref-h", "0.05", "--tbar", "0.5", "--out", str(out)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     blob = json.loads(result.output.strip().splitlines()[-1])
     assert blob["ref_h"] == 0.05 and blob["failure"]["step"] >= 1
+    assert out.read_text() == "earlier study\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["study.json"]
 
 
 def test_init_velocities_matches_tables(runner):
