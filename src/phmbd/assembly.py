@@ -50,13 +50,15 @@ The constants are exact: every row is a dot-product row of a table, the
 pairs' (phmbd.joints) and the six orthonormality rows of each body
 (_ORTHONORMALITY) alike, and g0, G0 and H are written from the tables
 directly (_constant_tensors), with zeros wherever the tables have them.
-Construction also groups the bodies that H couples (_newton_groups) and
-decides once whether the mp Newton update eliminates those groups one by
-one or solves one dense system (_blocks_pay). One map places the pattern
-values and the loads' blocks in either (_GroupBlocks): built per group
-size for the former; for the dense matrix it is the one group of every
-velocity and multiplier, built on first use, and the mp-ggl matrix adds
-its gamma blocks to that group at size n + 2m (_AugmentedBlocks).
+The first mp Newton update groups the bodies that H couples
+(_newton_groups) and decides once, from the blocks it builds, whether it
+eliminates those groups one by one or solves one dense system
+(_blocks_pay). One map places the pattern values and the loads' blocks
+in either (_GroupBlocks): per group size for the former; for the dense
+matrix it is the one group of every velocity and multiplier, and the
+mp-ggl matrix adds its gamma blocks to that group at size n + 2m
+(_AugmentedBlocks). All three are built on first use, so a system that
+is never stepped holds only its constants and patterns.
 """
 from __future__ import annotations
 
@@ -193,11 +195,18 @@ class MultibodySystem:
         self._G0_values[G_bins[:G0.size]] = G0
         self._H_in_G = G_bins[G0.size:]
 
-        # the mp Newton update eliminates these groups one by one when that
-        # is cheaper than one dense solve (integrate.midpoint_linearization)
+    @cached_property
+    def _newton_blocks(self):
+        """_GroupBlocks per size of the Newton groups, which the mp update
+        eliminates one by one, or None where one dense solve is cheaper
+        (_blocks_pay). One group is the dense matrix with its joint rows
+        eliminated last, in more LAPACK calls (24 revolute bodies: 1.26
+        times the dense update), so it never pays and builds nothing."""
         groups = _newton_groups(self)
-        self._newton_blocks = (tuple(_GroupBlocks(self, vel, mult) for vel, mult in groups)
-                               if _blocks_pay(self, groups) else None)
+        if sum(len(vel) for vel, _ in groups) < 2:
+            return None
+        blocks = tuple(_GroupBlocks(self, vel, mult) for vel, mult in groups)
+        return blocks if _blocks_pay(self, blocks) else None
 
     @cached_property
     def _dense_blocks(self):
@@ -549,35 +558,24 @@ def _joint_slots(sys, group, inside):
 LAPACK_CALL_FLOPS = 5e5
 
 
-def _blocks_pay(sys, groups):
+def _blocks_pay(sys, blocks):
     """Whether the block elimination of the mp Newton matrix beats one dense
     solve, by an operation count with a fixed price per LAPACK call.
 
-    Dense: one LU of size n + m. Blocks: per group size, one batched solve
-    of the k saddle blocks (s, s) against the wj + 1 columns of [B_g, b_g],
-    k (2/3 s^3 + 2 s^2 (wj + 1)), and the product of C_g with the solution's
-    nv velocity rows, 2 k wj nv (wj + 1), over the wj joint rows of
-    _joint_slots; then the LU of the Schur system on the mj = m - m_internal
-    joint multipliers. The terms in wj need the joint slots, so they are
-    counted only while the rest leaves blocks the cheaper. One group is the
-    dense matrix with its joint rows eliminated last, in more LAPACK calls
-    (24 revolute bodies: 1.26 times the dense update), so it never pays.
+    Dense: one LU of size n + m. Blocks: per _GroupBlocks of k groups, one
+    batched solve of the k saddle blocks (s, s) against the wj + 1 columns
+    of [B_g, b_g], k (2/3 s^3 + 2 s^2 (wj + 1)), and the product of C_g
+    with the solution's nv velocity rows, 2 k wj nv (wj + 1), over its wj
+    joint rows; then the LU of the Schur system on the mj = m - m_internal
+    joint multipliers. k, s, nv and wj are the shapes of the built blocks.
     """
-    if sum(len(vel) for vel, _ in groups) < 2:
-        return False
     mj = sys.m - sys.m_internal
     dense = 2.0 / 3.0 * (sys.n + sys.m) ** 3 + LAPACK_CALL_FLOPS
-    cost = 2.0 / 3.0 * mj ** 3 + LAPACK_CALL_FLOPS + sum(
-        2.0 / 3.0 * len(vel) * (vel.shape[1] + mult.shape[1]) ** 3 + LAPACK_CALL_FLOPS
-        for vel, mult in groups)
-    for vel, mult in groups:
-        if cost >= dense:
-            break
-        (k, nv), s = vel.shape, vel.shape[1] + mult.shape[1]
-        group = np.full(sys.n, -1)
-        group[vel] = np.arange(k)[:, None]
-        wj = _joint_slots(sys, group, np.arange(sys.m) < sys.m_internal)[2].shape[1]
-        cost += 2.0 * k * (wj + 1) * (s * s + wj * nv)
+    cost = 2.0 / 3.0 * mj ** 3 + LAPACK_CALL_FLOPS
+    for blk in blocks:
+        (k, s), nv, wj = blk.A.shape[:2], blk.nv, blk.joint.shape[1]
+        cost += (2.0 / 3.0 * k * s ** 3 + LAPACK_CALL_FLOPS
+                 + 2.0 * k * (wj + 1) * (s * s + wj * nv))
     return cost < dense
 
 

@@ -5,6 +5,7 @@ rod's and the block's from the assembled constraint Jacobian, G(q0) v = 0
 (scenario.dependent_velocities).
 """
 
+import dataclasses
 import json
 import os
 import sys
@@ -106,7 +107,8 @@ def simulate_cmd(scenario, scheme, tol, h, t_end, out):
         elapsed = time.perf_counter() - started
         report = conservation_report(traj, system)
         write_trajectory_csv(traj, out_temp)
-        write_summary_json(config, traj, report, scheme, tol, sidecar_temp)
+        write_summary_json(dataclasses.replace(config, h=h, t_end=integ.t_end), traj, report,
+                           scheme, tol, sidecar_temp)
 
     if not traj.completed:
         click.echo(json.dumps({"failure": traj.failure, "rows": int(traj.rows),

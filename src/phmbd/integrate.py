@@ -38,15 +38,15 @@ solves a system of size n + 2m in (2 dw, lambda_mid, gamma_mid) instead of
 2n + 2m, whose gamma = 0 block is the plain scheme's system. The plain
 system is a saddle block per group of bodies the constraint Hessians
 couple, tied together only by the joint multipliers. Where an operation
-count fixed at assembly says it pays (larger systems of small groups,
-such as spherical chains of five bodies or more), the pattern values are
-scattered straight into the groups' saddle and coupling blocks, the
-blocks are eliminated group by group and the joint multipliers solve a
-Schur system, with no (n, n) or (m, n) array formed; otherwise, and
-always for the augmented scheme, the reduced system is solved by one
-dense LU (_reduced_matrix). The dense matrix is the case of one group
-that holds every unknown, so the pattern values and the load blocks go
-into it and into the groups' blocks by one map fixed per system
+count, taken once on the first mp Newton update, says it pays (larger
+systems of small groups, such as spherical chains of five bodies or more),
+the pattern values are scattered straight into the groups' saddle and
+coupling blocks, the blocks are eliminated group by group and the joint
+multipliers solve a Schur system, with no (n, n) or (m, n) array formed;
+otherwise, and always for the augmented scheme, the reduced system is
+solved by one dense LU (_reduced_matrix). The dense matrix is the case of
+one group that holds every unknown, so the pattern values and the load
+blocks go into it and into the groups' blocks by one map fixed per system
 (assembly._GroupBlocks), with no dense K, W or G in between.
 ggl_jacobian is the full Newton matrix, the chain rule through (w, p), kept
 as the reference the reduced updates of both schemes are tested against;
@@ -229,11 +229,12 @@ def midpoint_linearization(sys, state, y, h):
     (assembly._GroupBlocks.fill), into buffers kept with the system and
     overwritten on every call, so one system is stepped by one thread at a
     time. The plain system is solved in one of two ways, chosen once per
-    system when it is assembled (MultibodySystem._newton_blocks): by one
-    dense LU of the whole matrix, the one group of every velocity and
-    multiplier (_reduced_matrix), or, when an operation count says it is
-    cheaper, group by group (_block_solve): each group's saddle block and
-    its coupling blocks to the joint rows are filled, each size of group
+    system on its first mp Newton update (MultibodySystem._newton_blocks,
+    which mp-ggl builds too, through _midpoint_start): by one dense LU of
+    the whole matrix, the one group of every velocity and multiplier
+    (_reduced_matrix), or, when an operation count says it is cheaper,
+    group by group (_block_solve): each group's saddle block and its
+    coupling blocks to the joint rows are filled, each size of group
     takes one batched solve against its coupling columns and its part of
     the right-hand side, and the Schur system on the joint multipliers is
     summed from the groups' small products, with no (n, n), (m, n) or

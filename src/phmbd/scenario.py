@@ -23,7 +23,7 @@ import os
 import numpy as np
 
 from .assembly import (BodyLoad, MultibodySystem, SystemState, _constraint_values,
-                       stack_constraints)
+                       _jacobian_values)
 from .directors import RigidBody
 from .joints import PAIR_CONSTRAINT_COUNTS, JointError, JointSpec, compile_joint
 
@@ -369,7 +369,7 @@ def dependent_velocities(system, q, v, bodies):
     free = np.zeros(system.n, dtype=bool)
     for k in bodies:
         free[12 * k:12 * k + 12] = True
-    _, G = stack_constraints(system, q)
+    G = system._G_pattern.dense(_jacobian_values(system, q))
     v = np.array(v, dtype=float)
     solved, _, rank, _ = np.linalg.lstsq(G[:, free], -G[:, ~free] @ v[~free], rcond=None)
     if rank < free.sum():

@@ -39,6 +39,9 @@ def test_simulate_writes_csv_and_summary(runner, tmp_path):
     doc = json.loads(sidecar.read_text())
     assert doc["summary"]["completed"] is True
     assert doc["summary"]["rows"] == 11
+    # the sidecar records the run's grid, and its scenario reproduces the run
+    assert doc["integrator"]["h"] == 0.001 and doc["integrator"]["t_end"] == 0.01
+    assert doc["scenario"]["integrator"] == {"h": 0.001, "t_end": 0.01}
     # the outputs take the mode of a file newly opened for writing
     probe = tmp_path / "probe"
     probe.write_text("")

@@ -5,8 +5,8 @@ fills it.
 couple, `assembly._GroupBlocks` maps the kernel's pattern values into
 the blocks of each group size, `integrate._block_solve` solves the reduced (n + m)
 midpoint system group by group with a Schur system on the joint
-multipliers, and the system takes that path only where an operation count
-says it beats one dense LU. The helpers are called directly, on systems
+multipliers, and the system takes that path only where an operation count,
+taken on its first step, says it beats one dense LU. The helpers are called directly, on systems
 either path would take. The dense path fills the matrix as the one group
 of every unknown (`integrate._reduced_matrix`); the dense matrix and each
 group's blocks must equal the dense formula of `reference.reduced_matrix`
@@ -30,7 +30,7 @@ from phmbd.assembly import (
     _slope_values,
     consistency,
 )
-from phmbd import integrate
+from phmbd import assembly, integrate
 from phmbd.directors import RigidBody
 from phmbd.integrate import (
     _block_solve,
@@ -38,6 +38,8 @@ from phmbd.integrate import (
     midpoint_linearization,
     newton_solve,
 )
+from phmbd.interconnect import couple
+from phmbd.scenario import build_system, load_scenario
 
 from conftest import random_orthonormal_config
 from reference import reduced_matrix
@@ -254,6 +256,29 @@ def test_groups_and_path_choice(flying_pair, slider_crank, closed_loop):
     vel, mult = sys._newton_blocks[1].vel, sys._newton_blocks[1].mult
     npt.assert_array_equal(vel[1], np.arange(5 * 12, 10 * 12))
     npt.assert_array_equal(mult[1], np.arange(5 * 6, 10 * 6))
+
+
+SOLVER_MAPS = {"_newton_blocks", "_dense_blocks", "_augmented_blocks"}
+
+
+@pytest.mark.parametrize("scheme", ["mp", "mp-ggl"])
+def test_solver_maps_are_built_on_first_step(scheme, monkeypatch):
+    """Building a system, checking its state and coupling its bodies build
+    none of the Newton update's maps, nor the pair-free system that couple
+    makes; the first step of either scheme groups the bodies once and
+    keeps the path choice."""
+    grouped = []
+    monkeypatch.setattr(assembly, "_newton_groups",
+                        lambda sys: grouped.append(sys) or _newton_groups(sys))
+    sys, state = build_system(load_scenario("slider_crank"))
+    assert not SOLVER_MAPS & vars(sys).keys()
+    couple(sys, state.q, state.v, state.lam)
+    consistency(sys, state.q, state.v)
+    assert not SOLVER_MAPS & vars(sys).keys()
+    assert grouped == []
+    integrate.step(sys, state, integrate.IntegratorConfig(h=0.01, t_end=0.01, scheme=scheme))
+    assert "_newton_blocks" in vars(sys) and sys._newton_blocks is None
+    assert grouped == [sys]
 
 
 def test_jointless_bodies_take_blocks_with_empty_schur_system():
