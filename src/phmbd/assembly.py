@@ -51,14 +51,15 @@ pairs' (phmbd.joints) and the six orthonormality rows of each body
 (_ORTHONORMALITY) alike, and g0, G0 and H are written from the tables
 directly (_constant_tensors), with zeros wherever the tables have them.
 The first mp Newton update groups the bodies that H couples
-(_newton_groups) and decides once, from the blocks it builds, whether it
-eliminates those groups one by one or solves one dense system
-(_blocks_pay). One map places the pattern values and the loads' blocks
-in either (_GroupBlocks): per group size for the former; for the dense
-matrix it is the one group of every velocity and multiplier, and the
-mp-ggl matrix adds its gamma blocks to that group at size n + 2m
-(_AugmentedBlocks). All three are built on first use, so a system that
-is never stepped holds only its constants and patterns.
+(_newton_groups) and decides once, by an operation count on their shapes,
+whether it eliminates those groups one by one or solves one dense system
+(_blocks_pay); the groups' blocks are built only where the count without
+their joint rows does not already lose. One map places the pattern values
+and the loads' blocks in either (_GroupBlocks): per group size for the
+former; for the dense matrix it is the one group of every velocity and
+multiplier, and the mp-ggl matrix adds its gamma blocks to that group at
+size n + 2m (_AugmentedBlocks). All three are built on first use, so a
+system that is never stepped holds only its constants and patterns.
 """
 from __future__ import annotations
 
@@ -201,12 +202,20 @@ class MultibodySystem:
         eliminates one by one, or None where one dense solve is cheaper
         (_blocks_pay). One group is the dense matrix with its joint rows
         eliminated last, in more LAPACK calls (24 revolute bodies: 1.26
-        times the dense update), so it never pays and builds nothing."""
+        times the dense update), so it never pays and builds nothing.
+        Neither does a count that loses before the joint rows are priced:
+        every term in wj is non-negative, and the groups' shapes give the
+        rest (slider_crank, closed_loop)."""
         groups = _newton_groups(self)
         if sum(len(vel) for vel, _ in groups) < 2:
             return None
+        shapes = [(len(vel), vel.shape[1] + mult.shape[1], vel.shape[1], 0)
+                  for vel, mult in groups]
+        if not _blocks_pay(self, shapes):
+            return None
         blocks = tuple(_GroupBlocks(self, vel, mult) for vel, mult in groups)
-        return blocks if _blocks_pay(self, blocks) else None
+        shapes = [blk.A.shape[:2] + (blk.nv, blk.joint.shape[1]) for blk in blocks]
+        return blocks if _blocks_pay(self, shapes) else None
 
     @cached_property
     def _dense_blocks(self):
@@ -558,22 +567,21 @@ def _joint_slots(sys, group, inside):
 LAPACK_CALL_FLOPS = 5e5
 
 
-def _blocks_pay(sys, blocks):
+def _blocks_pay(sys, shapes):
     """Whether the block elimination of the mp Newton matrix beats one dense
     solve, by an operation count with a fixed price per LAPACK call.
 
-    Dense: one LU of size n + m. Blocks: per _GroupBlocks of k groups, one
-    batched solve of the k saddle blocks (s, s) against the wj + 1 columns
-    of [B_g, b_g], k (2/3 s^3 + 2 s^2 (wj + 1)), and the product of C_g
-    with the solution's nv velocity rows, 2 k wj nv (wj + 1), over its wj
-    joint rows; then the LU of the Schur system on the mj = m - m_internal
-    joint multipliers. k, s, nv and wj are the shapes of the built blocks.
+    Dense: one LU of size n + m. Blocks: per size of group, (k, s, nv, wj)
+    in shapes, one batched solve of the k saddle blocks (s, s) against the
+    wj + 1 columns of [B_g, b_g], k (2/3 s^3 + 2 s^2 (wj + 1)), and the
+    product of C_g with the solution's nv velocity rows, 2 k wj nv (wj + 1),
+    over its wj joint rows; then the LU of the Schur system on the
+    mj = m - m_internal joint multipliers.
     """
     mj = sys.m - sys.m_internal
     dense = 2.0 / 3.0 * (sys.n + sys.m) ** 3 + LAPACK_CALL_FLOPS
     cost = 2.0 / 3.0 * mj ** 3 + LAPACK_CALL_FLOPS
-    for blk in blocks:
-        (k, s), nv, wj = blk.A.shape[:2], blk.nv, blk.joint.shape[1]
+    for k, s, nv, wj in shapes:
         cost += (2.0 / 3.0 * k * s ** 3 + LAPACK_CALL_FLOPS
                  + 2.0 * k * (wj + 1) * (s * s + wj * nv))
     return cost < dense

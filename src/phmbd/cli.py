@@ -154,19 +154,27 @@ def converge(scenario, scheme, tol, h_list, ref_h, tbar, out):
             for name, value in rms_error(traj, ref, tbar).items():
                 errors[name].append(value)
         try:
-            fits = convergence_orders(steps, errors)
+            fits = convergence_orders(steps, {k: errors[k] for k in ("q", "v", "lam")})
         except ValueError as exc:
             _fail(exc)
+        # H and L are conserved without loads, so their errors have no order
+        # and can be exactly zero: their slopes are null unless three errors
+        # are positive
+        for name in ("H", "L"):
+            fits[name] = (convergence_orders(steps, errors[name])
+                          if sum(e > 0.0 for e in errors[name]) >= 3 else None)
+        slopes = {k: None if fit is None else fit.slope for k, fit in fits.items()}
         for temp in temps:
             with open(temp, "w", encoding="utf-8") as fh:
                 json.dump({"h": steps, "ref_h": ref_h, "t_bar": tbar, "errors": errors,
-                           "slopes": {k: fits[k].slope for k in fits}}, fh, indent=2)
+                           "slopes": slopes}, fh, indent=2)
                 fh.write("\n")
 
     click.echo(f"{'quantity':>8}  {'slope':>7}  errors ({', '.join(f'h={h:g}' for h in steps)})")
     for name in ("q", "v", "lam", "H", "L"):
         err_txt = ", ".join(f"{e:.3e}" for e in errors[name])
-        click.echo(f"{name:>8}  {fits[name].slope:7.3f}  {err_txt}")
+        slope = "-" if slopes[name] is None else f"{slopes[name]:.3f}"
+        click.echo(f"{name:>8}  {slope:>7}  {err_txt}")
     if out:
         click.echo(f"wrote {out}")
 

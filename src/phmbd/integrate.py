@@ -52,6 +52,14 @@ ggl_jacobian is the full Newton matrix, the chain rule through (w, p), kept
 as the reference the reduced updates of both schemes are tested against;
 midpoint_jacobian, the plain scheme's, is its leading (2n + m) block at
 gamma = 0.
+
+simulate starts each plain step, from the fourth on, at the midpoint
+velocity extrapolated quadratically over the last three steps, and the
+corrector accepts a solve that took an update only after its second
+update (newton_solve). On the bundled scenarios at their step sizes that
+is 2.00-2.21 updates per step where the carried-over velocities took
+2.46-3.00, and no step is accepted on one update that happens to fall
+within the absolute tolerance.
 """
 from __future__ import annotations
 
@@ -110,7 +118,8 @@ class IntegratorConfig:
         t_end: final time, a positive integer multiple of h, at a number of
             steps that an array can index
         newton_tol: infinity-norm residual tolerance of the corrector,
-            positive
+            positive; a solve that took an update is accepted once the
+            residual after its second or a later update is within it
 
     Raises ValueError for values outside these ranges.
     """
@@ -483,7 +492,14 @@ def newton_solve(linearize, x0, tol=1e-9, max_iter=50):
     """Full-step Newton iteration with an infinity-norm stop criterion.
 
     linearize(x) returns (r, update): the residual at x and a callable that
-    returns the Newton update -J(x)^-1 r, called only while r is above tol.
+    returns the Newton update -J(x)^-1 r. A start with r within tol is
+    returned at 0 iterations; otherwise the solve is accepted at the first
+    residual within tol after at least two updates. A first update that
+    lands within tol is confirmed by a second one, which at quadratic
+    convergence leaves about the square of its residual: stopping after one
+    let each small-h step leave up to tol in the energy (flying_pair at
+    h = 1e-5 drifted 9.1e-10 |H0| over 2000 steps; Hairer & Wanner,
+    Solving ODEs II, IV.8, judge convergence from two increments).
     Returns a NewtonResult instead of raising. A failed solve carries the
     last residual norm, the iteration count and one of these messages:
     "diverged" (the residual norm grew in two consecutive iterations),
@@ -503,7 +519,8 @@ def newton_solve(linearize, x0, tol=1e-9, max_iter=50):
         prev, norm = norm, float(np.abs(r).max())
         if not math.isfinite(norm):
             return NewtonResult(x, False, it, prev, "non-finite residual")
-        if norm <= tol:
+        # one update can land within tol by luck; a second one confirms it
+        if norm <= tol and it != 1:
             return NewtonResult(x, True, it, norm)
         grew = grew + 1 if norm > prev else 0
         if grew == 2:
@@ -549,16 +566,16 @@ def step(sys, state, config, guess=None):
     """Advance one step, returning the new state and Newton iteration count.
 
     guess holds (q_next, v_next, lambda_mid), defaulting to an explicit
-    Euler position and the carried-over velocities and multipliers. The
-    plain scheme solves an (n + m) linear system per Newton iteration, with
-    q_next eliminated, densely or group by group, and the augmented scheme
-    a dense (n + 2m) one, with q_next and v_next eliminated (see
-    midpoint_linearization). Each dense reduced matrix is assembled in an
-    array kept with the system. The augmented corrector starts from one
-    plain-midpoint iteration on guess (see _midpoint_start); any gamma
-    entries in guess are ignored, and that iteration is included in the
-    count. The converged midpoint multipliers are stored on the returned
-    state.
+    Euler position and the carried-over velocities and multipliers
+    (simulate passes its extrapolated starts). The plain scheme solves an
+    (n + m) linear system per Newton iteration, with q_next eliminated,
+    densely or group by group, and the augmented scheme a dense (n + 2m)
+    one, with q_next and v_next eliminated (see midpoint_linearization).
+    Each dense reduced matrix is assembled in an array kept with the
+    system. The augmented corrector starts from one plain-midpoint
+    iteration on guess (see _midpoint_start); any gamma entries in guess
+    are ignored, and that iteration is included in the count. The
+    converged midpoint multipliers are stored on the returned state.
     Raises IntegrationError when the corrector fails.
     """
     n, m = sys.n, sys.m
@@ -630,8 +647,16 @@ class Trajectory:
 def simulate(sys, state0, config):
     """Run the configured scheme from state0 and collect a Trajectory.
 
-    Each step warm-starts from the previous solution: the configuration is
-    linearly extrapolated, velocities and multipliers carried over. The
+    Each step warm-starts from the stored rows. From the fourth step on,
+    the plain scheme starts from the midpoint velocity of the step,
+    extrapolated quadratically over the last three: h w = 3 dq[k-1] -
+    3 dq[k-2] + dq[k-3] with dq[j] = q[j] - q[j-1], which is h times step
+    j's midpoint velocity, q_next = q[k-1] + h w and v_next = 2 w - v[k-1];
+    the multipliers are carried over. On flying_pair at h = 1e-3 this
+    takes 2.00 updates per step, on closed_loop at h = 0.1 2.12, against 3
+    from the carried-over velocities. The first three steps, and every
+    step of the augmented scheme, start from the linearly extrapolated
+    configuration with the velocities and multipliers carried over; the
     augmented scheme refines that guess by one plain-midpoint iteration
     with gamma = 0 before its own corrector runs (see step). The first
     corrector failure terminates the run; the partial trajectory is
@@ -668,13 +693,18 @@ def simulate(sys, state0, config):
 
     record(0, state, 0)
     failure = None
-    prev_q = None
     done = 0
+    h = config.h
     for k in range(1, steps + 1):
-        if prev_q is None:
-            guess = None
+        if k >= 4 and not with_gamma:
+            # h v_mid of step k, extrapolated quadratically from the last three
+            hw = (3.0 * (q[k - 1] - q[k - 2]) - 3.0 * (q[k - 2] - q[k - 3])
+                  + (q[k - 3] - q[k - 4]))
+            guess = np.concatenate([q[k - 1] + hw, (2.0 / h) * hw - v[k - 1], state.lam])
+        elif k > 1:
+            guess = np.concatenate([2.0 * state.q - q[k - 2], state.v, state.lam])
         else:
-            guess = np.concatenate([2.0 * state.q - prev_q, state.v, state.lam])
+            guess = None
         try:
             result = step(sys, state, config, guess=guess)
         except IntegrationError as err:
@@ -686,7 +716,6 @@ def simulate(sys, state0, config):
                 "message": str(err),
             }
             break
-        prev_q = state.q
         state = result.state
         record(k, state, result.iterations)
         done = k
@@ -706,6 +735,6 @@ def simulate(sys, state0, config):
         max_gv=max_gv,
         newton_iters=iters[:rows],
         scheme=scheme,
-        h=config.h,
+        h=h,
         failure=failure,
     )

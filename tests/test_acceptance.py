@@ -78,9 +78,14 @@ def convergence_study():
     """Flying-pair errors and their fits against an h=1e-5 reference at
     t_bar=0.02.
 
-    The reference is solved at newton_tol=1e-12: at the default 1e-9 its
-    own energy drift is 9.1e-10 |H0|, which would use up the conservation
-    bound the H error is held to.
+    The reference is solved at newton_tol=1e-12, tighter than the runs it
+    judges. At the default 1e-9 its own energy drift is 1.8e-15 |H0| since
+    every solve takes a second update (9.1e-10 |H0| when one update could
+    pass, near the conservation bound the H error is held to).
+
+    Only q, v and lambda are fitted: H and L have no order to fit (see
+    test_convergence_orders_conserved_quantities), and an error that is
+    exactly zero, as H's at h = 1e-3 is, leaves too few samples to fit.
     """
     t0 = time.perf_counter()
     sys, state = _build("flying_pair")
@@ -94,7 +99,8 @@ def convergence_study():
         point = rms_error(traj, ref, 0.02)
         for k in errors:
             errors[k].append(point[k])
-    return SimpleNamespace(fits=convergence_orders(hs, errors), errors=errors,
+    fits = convergence_orders(hs, {k: errors[k] for k in ("q", "v", "lam")})
+    return SimpleNamespace(fits=fits, errors=errors,
                            H0=ref.H[0], L0=ref.L[0],
                            elapsed=time.perf_counter() - t0)
 
@@ -191,7 +197,7 @@ def test_slider_crank_midpoint_diverges_at_large_step(slider_fine):
     before t_end, or its slider travel leaves the 2% RMS band over [0, 2]
     that h = 0.01 holds against h = 1e-3.
 
-    The corrector keeps converging at this step size (2-4 iterations per
+    The corrector keeps converging at this step size (2-5 iterations per
     step); the breakdown is a loss of accuracy. max|G v| on the grid
     reaches 11 (4.4e-3 at h = 1e-3) and the travel departs by 8.5% RMS.
     The velocity-stabilized scheme stays inside the band at this step

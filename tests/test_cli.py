@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from phmbd.assembly import stack_constraints
 from phmbd.cli import main, run
+from phmbd.diagnostics import rms_error
 from phmbd.scenario import build_system, load_scenario, serialize_scenario
 
 
@@ -252,6 +253,31 @@ def test_converge_zero_errors_report_error(runner):
         "--ref-h", "1e-3", "--tbar", "0.01"])
     _error_line(result)
     assert "three positive errors" in result.output
+
+
+def test_converge_conserved_quantities_without_slope(runner, tmp_path, monkeypatch):
+    """An H error that is exactly zero, as flying_pair's at h = 1e-3 against
+    the h = 1e-5 reference is, leaves H without a slope; the study still
+    fits q, v and lambda."""
+    calls = []
+
+    def exact_energy_once(traj, ref, tbar):
+        errors = rms_error(traj, ref, tbar)
+        calls.append(traj)
+        if len(calls) == 2:
+            errors["H"] = 0.0
+        return errors
+
+    monkeypatch.setattr("phmbd.cli.rms_error", exact_energy_once)
+    out = tmp_path / "conv.json"
+    result = runner.invoke(main, [
+        "converge", "--scenario", "flying_pair", "--h", "1e-2,2e-3,1e-3",
+        "--ref-h", "1e-4", "--tbar", "0.01", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    slopes = json.loads(out.read_text())["slopes"]
+    assert slopes["H"] is None and isinstance(slopes["L"], float)
+    assert 1.6 <= slopes["q"] <= 2.4
+    assert any(line.split()[:2] == ["H", "-"] for line in result.output.splitlines())
 
 
 def test_converge_failed_reference_reports_failure(runner, tmp_path):

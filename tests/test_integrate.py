@@ -229,6 +229,16 @@ def test_newton_solve_reports_divergence():
     assert once.converged and once.iterations == 3
 
 
+def test_newton_solve_confirms_a_passing_update():
+    """A residual within tol after one update takes a second update before
+    the solve is accepted; a start within tol takes none."""
+    linear = lambda x: (x - 1.0, lambda: 1.0 - x)
+    once = newton_solve(linear, np.zeros(2))
+    assert once.converged and (once.iterations, once.residual_norm) == (2, 0.0)
+    at_start = newton_solve(linear, np.full(2, 1.0 + 1e-10))
+    assert at_start.converged and at_start.iterations == 0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_newton_solve_reports_non_finite_residual(bad):
     """A NaN or infinite residual stops the corrector; the reported norm is
@@ -417,3 +427,36 @@ def test_midpoint_preserves_quadratic_invariants_long_run(flying_pair):
     L0 = traj.L[0]
     assert np.abs(traj.L - L0).max() <= 1e-8 * np.linalg.norm(L0)
     assert traj.max_g.max() <= 1e-10
+
+
+@pytest.mark.parametrize("scenario, h, t_end", [("flying_pair", 1e-5, 0.02),
+                                                ("slider_crank", 1e-3, 1.0)])
+def test_small_step_runs_conserve_energy_to_solver_precision(scenario, h, t_end, request):
+    """At small h a single update can pass the absolute stop; accepting it
+    let each step leave its residual in the energy (9.1e-10 |H0| on
+    flying_pair, 2.6e-8 on slider_crank)."""
+    sys, state = request.getfixturevalue(scenario)
+    traj = simulate(sys, state, IntegratorConfig(h=h, t_end=t_end))
+    assert traj.completed
+    assert np.abs(traj.H - traj.H[0]).max() <= 1e-12 * abs(traj.H[0])
+
+
+@pytest.mark.parametrize("scenario, h, t_end, bound", [("flying_pair", 1e-3, 0.3, 2.05),
+                                                       ("closed_loop", 0.1, 10.0, 2.2)])
+def test_extrapolated_start_saves_updates(scenario, h, t_end, bound, request):
+    """From the fourth step on, mp starts from the midpoint velocity
+    extrapolated over the last three steps: about two updates per step
+    where the carried-over velocities took three."""
+    sys, state = request.getfixturevalue(scenario)
+    traj = simulate(sys, state, IntegratorConfig(h=h, t_end=t_end))
+    assert traj.completed
+    assert traj.newton_iters[4:].mean() <= bound
+
+
+def test_ggl_keeps_its_start(flying_pair):
+    """mp-ggl keeps the carried-over start and its plain-midpoint iteration:
+    three updates per step on flying_pair."""
+    sys, state = flying_pair
+    traj = simulate(sys, state, IntegratorConfig(h=1e-3, t_end=0.3, scheme="mp-ggl"))
+    assert traj.completed
+    npt.assert_array_equal(traj.newton_iters[1:], 3)

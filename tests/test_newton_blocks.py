@@ -281,6 +281,18 @@ def test_solver_maps_are_built_on_first_step(scheme, monkeypatch):
     assert grouped == [sys]
 
 
+@pytest.mark.parametrize("scenario", ["slider_crank", "closed_loop"])
+def test_losing_count_builds_no_blocks(scenario, monkeypatch):
+    """Where the groups' count loses to the dense LU before its joint rows
+    are priced, the path is decided without building the groups' blocks."""
+    built = []
+    monkeypatch.setattr(assembly, "_GroupBlocks",
+                        lambda *args: built.append(args) or _GroupBlocks(*args))
+    sys, _ = build_system(load_scenario(scenario))
+    assert sum(len(vel) for vel, _ in _newton_groups(sys)) > 1
+    assert sys._newton_blocks is None and built == []
+
+
 def test_jointless_bodies_take_blocks_with_empty_schur_system():
     """Without joints every body is its own group and the Schur system on
     the joint multipliers is 0 x 0."""
