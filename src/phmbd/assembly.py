@@ -795,20 +795,21 @@ def consistency(sys, q, v):
     return np.abs(g).max(axis=-1), np.abs(Gv).max(axis=-1)
 
 
-def _operators(sys, q, v, lam, size):
+def _operators(sys, q, v, lam, size, rows=None):
     """(E, J, z) of the index-2 formulation in arrays of the given size, and
-    the dense G = G(q): E = diag(I, M, 0), J's I / -I and -G^T / G pairs,
-    each lower block the exact negated transpose of its upper one, and
-    z = (grad V, v, lam). Every other entry is zero, for the caller to
-    fill (ggl_operators, interconnect.couple)."""
-    n, m = sys.n, sys.m
+    the dense G = G(q): E = diag(I, M, 0), J's I / -I and -G^T / G pairs
+    for the leading rows of G (all m by default), each lower block the exact
+    negated transpose of its upper one, and z = (grad V, v, lam). Every
+    other entry is zero, for the caller to fill (ggl_operators,
+    interconnect.couple)."""
+    n, m = sys.n, sys.m if rows is None else rows
     G = sys._G_pattern.dense(_jacobian_values(sys, np.asarray(q, dtype=float)))
     E, J, z = np.zeros((size, size)), np.zeros((size, size)), np.zeros(size)
     np.fill_diagonal(E[:2 * n, :2 * n], np.concatenate([np.ones(n), sys.mass_diag]))
     np.fill_diagonal(J[:n, n:2 * n], 1.0)
     np.fill_diagonal(J[n:2 * n, :n], -1.0)
-    J[n:2 * n, 2 * n:2 * n + m] = -G.T
-    J[2 * n:2 * n + m, n:2 * n] = G
+    J[n:2 * n, 2 * n:2 * n + m] = -G[:m].T
+    J[2 * n:2 * n + m, n:2 * n] = G[:m]
     z[:2 * n + len(lam)] = np.concatenate([sys._grad_potential, v, lam])
     return E, J, z, G
 

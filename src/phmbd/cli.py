@@ -34,7 +34,7 @@ def _scenario_options(fn):
     fn = click.option("--integrator", "scheme", type=click.Choice(SCHEMES),
                       default="mp", show_default=True,
                       help="Plain midpoint or the velocity-projected variant.")(fn)
-    fn = click.option("--tol", type=float, default=1e-9, show_default=True,
+    fn = click.option("--tol", type=float, default=IntegratorConfig.newton_tol, show_default=True,
                       help="Newton absolute tolerance.")(fn)
     return fn
 

@@ -178,14 +178,20 @@ class IntegrationError(RuntimeError):
 
 
 def midpoint_residual(sys, state, y, h):
-    """Nonlinear system of one plain midpoint step, shape (2n + m,).
-
-    y stacks the unknowns (q_next, v_next, lambda_mid). The rows are the
-    position update against w = v_mid, the momentum balance with all forces
-    at the midpoint, and the h-scaled midpoint velocity constraint (see the
-    module docstring).
+    """Nonlinear system of one midpoint step, either scheme (ggl_residual):
+    shape (2n + m,) for y = (q_next, v_next, lambda_mid), (2n + 2m,) with
+    gamma_mid appended. The rows are the position update against w = v_mid
+    (plus M^-1 G^T gamma), the momentum balance with all forces at the
+    midpoint, the h-scaled midpoint velocity constraint and, with gamma, its
+    time derivative (see the module docstring). By the secant identity of
+    the quadratic constraints, the augmented scheme keeps g and G v at their
+    initial grid values to the solver tolerance: zero on consistent initial
+    data, not driven to zero on inconsistent data.
     """
     return midpoint_linearization(sys, state, y, h)[0]
+
+
+ggl_residual = midpoint_residual
 
 
 def midpoint_linearization(sys, state, y, h):
@@ -388,20 +394,6 @@ def midpoint_jacobian(sys, state, y, h):
     return ggl_jacobian(sys, state, np.concatenate([y, np.zeros(sys.m)]), h)[:k, :k]
 
 
-def ggl_residual(sys, state, y, h):
-    """Nonlinear system of one augmented midpoint step, shape (2n + 2m,).
-
-    y stacks (q_next, v_next, lambda_mid, gamma_mid). On top of the plain
-    scheme, the position update absorbs the projection term M^-1 G^T gamma
-    of w and the last block enforces the time derivative of the velocity
-    constraint (see the module docstring). By the secant identity of the
-    quadratic constraints, both g and G v keep their initial grid values to
-    the solver tolerance: zero on consistent initial data, not driven to
-    zero on inconsistent data.
-    """
-    return midpoint_linearization(sys, state, y, h)[0]
-
-
 def ggl_jacobian(sys, state, y, h):
     """Analytic derivative of ggl_residual with respect to y, by the chain
     rule through the flow (w, p); q_mid and v_mid move by half of q1 and v1.
@@ -488,7 +480,7 @@ def _residual(sys, state, y, h, mid):
     return np.concatenate(rows)
 
 
-def newton_solve(linearize, x0, tol=1e-9, max_iter=50):
+def newton_solve(linearize, x0, tol=IntegratorConfig.newton_tol, max_iter=50):
     """Full-step Newton iteration with an infinity-norm stop criterion.
 
     linearize(x) returns (r, update): the residual at x and a callable that

@@ -2,18 +2,18 @@
 
 Each body, with its orthonormality rows, gravity and its own loads, is a
 port-Hamiltonian system of its own, with state (q_k, v_k, lambda_k) of
-sizes 12, 12 and 6. The bodies with their pairs removed are the direct sum
-of these subsystems: one MultibodySystem without pairs, whose
-assembly.ph_operators are block-diagonal over the bodies. A pair joins the
-bodies it acts on through its port map, the column block of its Jacobian
-on each of its bodies (joints.jacobian), taken from the pair's table of
-rows alone; a ground pair has one block (port_maps). The pair's
-multipliers are the shared effort: with C the block on body k, the
-reaction -C^T lambda enters body k's momentum rows and the flow C v_k
-closes the pair's multiplier rows, so the coupled J stays skew (couple).
-The rows of a pair are its reaction channels, in the row form of Betsch
-and Leyendecker (2006) and the Dirac-structure view of van der Schaft and
-Jeltsema (Port-Hamiltonian Systems Theory, 2014).
+sizes 12, 12 and 6. Their direct sum is the system's own: its first
+m_internal rows are the bodies' orthonormality rows, and its index-2
+operators on those rows alone are block-diagonal over the bodies. A pair
+joins the bodies it acts on through its port map, the column block of its
+Jacobian on each of its bodies (joints.jacobian), taken from the pair's
+table of rows alone, never from the system's G; a ground pair has one
+block (port_maps). The pair's multipliers are the shared effort: with C
+the block on body k, the reaction -C^T lambda enters body k's momentum
+rows and the flow C v_k closes the pair's multiplier rows, so the coupled
+J stays skew (couple). The rows of a pair are its reaction channels, in
+the row form of Betsch and Leyendecker (2006) and the Dirac-structure view
+of van der Schaft and Jeltsema (Port-Hamiltonian Systems Theory, 2014).
 
 Coupling the subsystems through all pairs gives back the assembled system
 to rounding: the coupled (E, J, z) are ph_operators of the whole system,
@@ -23,7 +23,7 @@ coupled here.
 """
 from __future__ import annotations
 
-from .assembly import MultibodySystem, _operators
+from .assembly import _operators
 from .joints import GROUND_CONFIG, jacobian
 
 __all__ = ["port_maps", "couple"]
@@ -50,15 +50,14 @@ def couple(sys, q, v, lam):
     its pairs, at the system point (q, v, lam), in the assembled order
     (q, v, lambda) of sys.
 
-    The bodies of sys without its pairs write their operators straight
-    into the (2n + m) arrays, with z = (grad V, v, lam) whole; their J is
-    the leading (2n + m_internal) block. A pair's port map C on body k then
-    adds -C^T in body k's momentum rows and the pair's multiplier columns,
-    and C in the transposed place.
+    The bodies' direct sum, sys's operators with only its orthonormality
+    rows of G written, is the leading (2n + m_internal) block, with
+    z = (grad V, v, lam) whole. A pair's port map C on body k, never G,
+    then adds -C^T in body k's momentum rows and the pair's multiplier
+    columns, and C in the transposed place.
     """
     row = 2 * sys.n + sys.m_internal
-    free = MultibodySystem(sys.bodies, (), sys.loads)
-    E, J, z, _ = _operators(free, q, v, lam, 2 * sys.n + sys.m)
+    E, J, z, _ = _operators(sys, q, v, lam, 2 * sys.n + sys.m, sys.m_internal)
     for joint, blocks in zip(sys.joints, port_maps(sys, q)):
         efforts = slice(row, row + joint.count)
         for k, C in blocks:

@@ -222,13 +222,18 @@ def parse_scenario(text):
     """Parse a scenario document into a ScenarioConfig.
 
     Checks the document only: fields, types, finite numbers, ranges, pair
-    types, and each body's mass and inertias. Raises ScenarioError.
+    types, and each body's mass and inertias. The name is a file name in
+    the working directory (simulate's default output), so neither empty,
+    "." nor "..", nor holding a / or \\. Raises ScenarioError.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"not valid JSON: {exc}") from exc
     _check_keys(doc, ("name", "bodies", "joints", "integrator"), ("loads",), "scenario")
+    name = doc["name"]
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ScenarioError(f"name must be a file name without / or \\, got {name!r}")
 
     if not isinstance(doc["bodies"], list) or not doc["bodies"]:
         raise ScenarioError("bodies must be a non-empty list")
@@ -255,8 +260,7 @@ def parse_scenario(text):
     if h <= 0 or t_end <= 0:
         raise ScenarioError("integrator: h and t_end must be positive")
 
-    return ScenarioConfig(name=str(doc["name"]), bodies=bodies, joints=joints,
-                          loads=loads, h=h, t_end=t_end)
+    return ScenarioConfig(name=name, bodies=bodies, joints=joints, loads=loads, h=h, t_end=t_end)
 
 
 def serialize_scenario(config):

@@ -128,6 +128,23 @@ def test_off_manifold_initial_state_reports_error(runner, tmp_path, command):
     _rejected_by(runner, tmp_path, command, doc)
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate", "init-velocities"])
+def test_escaping_name_reports_error(runner, tmp_path, monkeypatch, command):
+    """A name that leaves the working directory is rejected while parsing,
+    by every command that loads a scenario; without --out, where the name
+    would pick simulate's output path, nothing is written anywhere.
+    slider_crank's layout is the one init-velocities accepts."""
+    doc = json.loads(serialize_scenario(load_scenario("slider_crank")))
+    doc["name"] = "../escaped"
+    _rejected_by(runner, tmp_path, command, doc)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    _error_line(runner.invoke(main, [command, "--scenario", str(tmp_path / "bad.json")]))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "work"]
+    assert not any(work.iterdir())
+
+
 def test_converge_rejects_misaligned_grid(runner):
     result = runner.invoke(main, [
         "converge", "--scenario", "flying_pair", "--h", "1e-2,3e-3",

@@ -4,8 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from phmbd.assembly import (BodyLoad, MultibodySystem, SystemState, input_assembly,
-                            ph_operators)
+from phmbd.assembly import (BodyLoad, MultibodySystem, SystemState, _operators,
+                            input_assembly, ph_operators)
 from phmbd.integrate import IntegratorConfig, midpoint_residual, simulate
 from phmbd.interconnect import couple, port_maps
 from phmbd.scenario import build_system, load_scenario
@@ -106,6 +106,19 @@ def test_coupled_operators_are_ph_operators(case):
         assert np.abs(coupled - assembled).max() <= 1e-15 * np.abs(assembled).max()
 
 
+@pytest.mark.parametrize("case", ["chain24", "closed_loop"])
+def test_couple_builds_no_system(case, monkeypatch):
+    """couple joins the system it is given: no MultibodySystem is built
+    while it runs."""
+    sys, q = _case_system(case)
+    built, init = [], MultibodySystem.__init__
+    monkeypatch.setattr(MultibodySystem, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    rng = np.random.default_rng(SEED)
+    couple(sys, q, rng.standard_normal(sys.n), rng.standard_normal(sys.m))
+    assert built == []
+
+
 def test_transformer_couple_keeps_skewness(flying_pair):
     """flying_pair's two bodies coupled through the four effort channels of
     its cylindrical pair: J is exactly skew at random multipliers."""
@@ -122,13 +135,25 @@ def test_pair_free_system_is_direct_sum_of_bodies(name, request):
     block-diagonal over each body's (q_k, v_k, lambda_k), and each block,
     like the body's load force, is bit for bit that of the body built as a
     system of its own, its loads moved with it to index 0. closed_loop
-    has a loaded body."""
+    has a loaded body.
+
+    These are the operators couple starts from: sys's own, with only its
+    orthonormality rows of G written, are the pair-free system's in their
+    leading (2n + m_internal) block and zero in the pairs' rows and
+    columns."""
     sys, state = request.getfixturevalue(name)
     free = MultibodySystem(sys.bodies, (), sys.loads)
     rng = np.random.default_rng(SEED)
     q = state.q + 0.1 * rng.standard_normal(sys.n)
     v, lam = rng.standard_normal(sys.n), rng.standard_normal(free.m)
     E, J, z = ph_operators(free, q, v, lam)
+    lead = 2 * sys.n + sys.m_internal
+    lam_pairs = rng.standard_normal(sys.m - sys.m_internal)
+    E_c, J_c, z_c, _ = _operators(sys, q, v, np.concatenate([lam, lam_pairs]),
+                                  2 * sys.n + sys.m, sys.m_internal)
+    assert np.array_equal(E_c[:lead, :lead], E) and np.array_equal(J_c[:lead, :lead], J)
+    assert np.array_equal(z_c[:lead], z)
+    assert not J_c[lead:].any() and not J_c[:, lead:].any()
     f = input_assembly(free, q, 0.7)
     n, seen = sys.n, np.zeros(z.size, dtype=bool)
     for k, body in enumerate(sys.bodies):

@@ -264,9 +264,8 @@ SOLVER_MAPS = {"_newton_blocks", "_dense_blocks", "_augmented_blocks"}
 @pytest.mark.parametrize("scheme", ["mp", "mp-ggl"])
 def test_solver_maps_are_built_on_first_step(scheme, monkeypatch):
     """Building a system, checking its state and coupling its bodies build
-    none of the Newton update's maps, nor the pair-free system that couple
-    makes; the first step of either scheme groups the bodies once and
-    keeps the path choice."""
+    none of the Newton update's maps; the first step of either scheme
+    groups the bodies once and keeps the path choice."""
     grouped = []
     monkeypatch.setattr(assembly, "_newton_groups",
                         lambda sys: grouped.append(sys) or _newton_groups(sys))

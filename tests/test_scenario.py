@@ -65,6 +65,14 @@ def test_parse_rejects_malformed_input():
         bad["bodies"][1][field] = value
         with pytest.raises(ScenarioError, match="body entry 1: "):
             parse_scenario(json.dumps(bad))
+    # the name is simulate's default output file: a string naming a file in
+    # the working directory
+    for name in (None, 5, "", "..", "a/b", "..\\x"):
+        bad = json.loads(serialize_scenario(load_scenario("flying_pair")))
+        bad["name"] = name
+        with pytest.raises(ScenarioError, match="^name must be a file name") as info:
+            parse_scenario(json.dumps(bad))
+        assert "\n" not in str(info.value)
     # NaN and infinite numbers anywhere in the document, and integers
     # beyond the float range
     nan, inf, huge = float("nan"), float("inf"), 10 ** 400
