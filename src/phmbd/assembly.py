@@ -511,9 +511,10 @@ class _AugmentedBlocks(_GroupBlocks):
         return np.bincount(self.Q_bins, left[self.Q_left] * right[self.Q_right] * self.Q_weight,
                            minlength=self.Q_at.size)
 
-    def fill_gamma(self, Q, Gg, DG):
-        """After fill, place the gamma blocks Gg and DG on the pattern of G
-        and subtract Q's values (integrate._reduced_matrix)."""
+    def fill(self, h, K, W, G, Gs, Q, Gg, DG):
+        """_GroupBlocks.fill, then place the gamma blocks Gg and DG on the
+        pattern of G and subtract Q's values."""
+        super().fill(h, K, W, G, Gs)
         flat = self.A.ravel()
         flat[self.DG_at] = DG
         flat[self.Gg_at] = Gg
@@ -560,10 +561,11 @@ def _joint_slots(sys, group, inside):
 # Fixed price of one LAPACK call in _blocks_pay's flop count, from a sweep
 # of spherical chains of 2 to 12 bodies (numpy 2.4, OpenBLAS, one thread).
 # The two paths measure even between 3 and 4 bodies, which a price between
-# 1.5e5 and 3.8e5 would reproduce. The bundled closed_loop (four one-body
-# groups, whose count breaks even at 3.6e5) measures like the 4-body chain,
-# and the bundled scenarios stay on the dense path, so the price sits in
-# the middle of the range that switches at 5 bodies, 3.8e5 to 7.6e5.
+# 1.5e5 and 3.8e5 would reproduce. The price sits in the middle of the range
+# that switches at 5 bodies, 3.8e5 to 7.6e5, which keeps the bundled closed_loop
+# (four one-body groups, even at 3.6e5) dense at a cost: its block path takes
+# 0.78-0.93 of the dense update's time (best of 5 timeit rounds, one BLAS
+# thread). ROADMAP item 14, step 3, re-prices it.
 LAPACK_CALL_FLOPS = 5e5
 
 

@@ -138,8 +138,10 @@ def converge(scenario, scheme, tol, h_list, ref_h, tbar, out):
     except ValueError:
         _fail("--h must be a comma-separated list of numbers")
     ref_integ, *integs = [_integrator(scheme, tol, h, tbar) for h in [ref_h] + steps]
-    if len(steps) < 3:
-        _fail(f"--h needs at least three step sizes to fit a slope, got {len(steps)}")
+    if len(steps) < 3 or len(set(steps)) < len(steps):
+        _fail(f"--h needs at least three step sizes to fit a slope, each once, got {h_list}")
+    if ref_h > min(steps):
+        _fail(f"--ref-h {ref_h:g} is coarser than the step size {min(steps):g} it measures")
     with _outputs("the study's output", *([out] if out else [])) as temps:
         ref = simulate(system, state0, ref_integ)
         if not ref.completed:

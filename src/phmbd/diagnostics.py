@@ -144,7 +144,8 @@ def convergence_orders(h_values, errors):
     errors may be a sequence of scalars (one fit) or a mapping of quantity
     name to sequence (one fit per quantity). Nonpositive errors carry no
     information on a log scale; those sample indices are excluded and
-    reported in the fit. Requires at least three usable samples.
+    reported in the fit. Raises ValueError unless the kept samples span
+    three distinct step sizes.
     """
     if hasattr(errors, "items"):
         return {name: convergence_orders(h_values, series)
@@ -156,8 +157,8 @@ def convergence_orders(h_values, errors):
         raise ValueError("h and error samples must align")
     keep = e > 0.0
     excluded = tuple(int(k) for k in np.nonzero(~keep)[0])
-    if keep.sum() < 3:
-        raise ValueError("need at least three positive errors to fit a slope")
+    if np.unique(h[keep]).size < 3:
+        raise ValueError("need three positive errors at distinct step sizes to fit a slope")
     coeffs = np.polyfit(np.log(h[keep]), np.log(e[keep]), 1)
     return ConvergenceFit(slope=float(coeffs[0]), intercept=float(coeffs[1]),
                           excluded=excluded)

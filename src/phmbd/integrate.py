@@ -44,10 +44,11 @@ the pattern values are scattered straight into the groups' saddle and
 coupling blocks, the blocks are eliminated group by group and the joint
 multipliers solve a Schur system, with no (n, n) or (m, n) array formed;
 otherwise, and always for the augmented scheme, the reduced system is
-solved by one dense LU (_reduced_matrix). The dense matrix is the case of
-one group that holds every unknown, so the pattern values and the load
-blocks go into it and into the groups' blocks by one map fixed per system
-(assembly._GroupBlocks), with no dense K, W or G in between.
+solved by one dense LU. The dense matrix is the case of one group that
+holds every unknown, so the pattern values and the load blocks go into it
+and into the groups' blocks by one map fixed per system
+(assembly._GroupBlocks; _AugmentedBlocks adds the gamma border), with no
+dense K, W or G in between.
 ggl_jacobian is the full Newton matrix, the chain rule through (w, p), kept
 as the reference the reduced updates of both schemes are tested against;
 midpoint_jacobian, the plain scheme's, is its leading (2n + m) block at
@@ -232,10 +233,10 @@ def midpoint_linearization(sys, state, y, h):
         [-r_g - G M^-1 r_v + ((h/2) D(M^-1 p) - Gs M^-1 Kg) r_q].
 
     At gamma = 0 (so w = v_mid and Kg = 0) its leading (u, dlambda) block
-    and right-hand side are the plain scheme's, bit for bit
-    (_reduced_matrix). The midpoint quantities are evaluated once for the
-    residual and the update; the update is built only when called. It
-    raises np.linalg.LinAlgError when the reduced matrix is singular.
+    and right-hand side are the plain scheme's, bit for bit. The midpoint
+    quantities are evaluated once for the residual and the update; the
+    update is built only when called. It raises np.linalg.LinAlgError when
+    the reduced matrix is singular.
 
     K, D and G enter as their values on the patterns fixed at assembly
     and W as one (9, 9) block per load on its body's directors; the
@@ -247,9 +248,9 @@ def midpoint_linearization(sys, state, y, h):
     system on its first mp Newton update (MultibodySystem._newton_blocks,
     which mp-ggl builds too, through _midpoint_start): by one dense LU of
     the whole matrix, the one group of every velocity and multiplier
-    (_reduced_matrix), or, when an operation count says it is cheaper,
-    group by group (_block_solve): each group's saddle block and its
-    coupling blocks to the joint rows are filled, each size of group
+    (MultibodySystem._dense_blocks), or, when an operation count says it
+    is cheaper, group by group (_block_solve): each group's saddle block
+    and its coupling blocks to the joint rows are filled, each size of group
     takes one batched solve against its coupling columns and its part of
     the right-hand side, and the Schur system on the joint multipliers is
     summed from the groups' small products, with no (n, n), (m, n) or
@@ -280,7 +281,7 @@ def midpoint_linearization(sys, state, y, h):
         hD = _slope_values(sys, (0.5 * h) * w)
         b = [(0.5 * h) * KWr - r_v, Gp.times(hD, r_q) - r_l]
         Gs = G + hD  # G(q_mid + h w / 2)
-        gamma = None
+        gamma = ()
         if D is not None:
             Minv = sys.mass_diag_inv
             Kg = _contraction_values(sys, y[2 * n + m:])
@@ -294,14 +295,16 @@ def midpoint_linearization(sys, state, y, h):
             Q = sys._augmented_blocks.products(np.concatenate([hKg, Gs]),
                                                np.concatenate([hKg, 2.0 * G]))
             gamma = (Q, Gs + (0.5 * h) * (D + hDp), h * D - 2.0 * G)
-        if gamma is None and sys._newton_blocks is not None:
-            x = _block_solve(sys, sys._newton_blocks, h, K, G, Gs, W, np.concatenate(b))
+        b = np.concatenate(b)
+        if D is None and sys._newton_blocks is not None:
+            x = _block_solve(sys, sys._newton_blocks, h, K, W, G, Gs, b)
         else:
-            x = np.linalg.solve(_reduced_matrix(sys, h, K, W, G, Gs, gamma),
-                                np.concatenate(b))
+            blk = sys._dense_blocks if D is None else sys._augmented_blocks
+            blk.fill(h, K, W, G, Gs, *gamma)
+            x = np.linalg.solve(blk.A[0], b)
         u = x[:n]
         dq = (0.5 * h) * u - r_q
-        if gamma is None:
+        if D is None:
             return np.concatenate([dq, x])
         dv = u - Minv * (Kp.times(Kg, dq) + 2.0 * Gp.transpose_times(G, x[n + m:]))
         return np.concatenate([dq, dv, x[n:]])
@@ -309,36 +312,8 @@ def midpoint_linearization(sys, state, y, h):
     return r, update
 
 
-def _reduced_matrix(sys, h, K, W, G, Gs, gamma=None):
-    """The reduced Newton matrix of midpoint_linearization, filled into the
-    system's buffer of its size, which it overwrites and returns.
-
-    K = K(lambda) on its pattern, W the loads' director blocks
-    (assembly._input_map_blocks, None without loads), and G = G(q_mid) and
-    Gs = G(q_mid + h w / 2) on the pattern of G. Without gamma it is the
-    plain scheme's (n + m) matrix. gamma = (Q, Gg, DG) gives the augmented
-    scheme's (n + 2m) matrix: Q holds the values of
-    [(h/2) Kg; Gs] M^-1 [(h/2) Kg, 2 G^T] with Kg = K(gamma), and
-    Gg = G(q_mid + (h/2)(w + v_mid + (h/2) M^-1 p)) and DG = h D(v_mid) - 2 G
-    are values on the pattern of G for the (gamma, u) and (u, gamma)
-    blocks, and Q is subtracted where it falls. At gamma = 0, Q = 0 and the
-    leading (n + m) block is the plain matrix bit for bit.
-
-    The matrix is the one saddle block of the group that holds every
-    velocity and multiplier (assembly._GroupBlocks, built on first use as
-    MultibodySystem._dense_blocks, or assembly._AugmentedBlocks at size
-    n + 2m), filled by the same map as the block path's groups, with no
-    dense K, W or G.
-    """
-    blk = sys._dense_blocks if gamma is None else sys._augmented_blocks
-    blk.fill(h, K, W, G, Gs)
-    if gamma is not None:
-        blk.fill_gamma(*gamma)
-    return blk.A[0]
-
-
-def _block_solve(sys, blocks, h, K, G, Gs, W, b):
-    """Solve _reduced_matrix(sys, h, K, W, G, Gs) x = b group by group.
+def _block_solve(sys, blocks, h, K, W, G, Gs, b):
+    """Solve A x = b for the reduced mp Newton matrix A, group by group.
 
     blocks are the assembly._GroupBlocks of the system's Newton groups: no
     entry of K, W or an orthonormality row couples two groups, so ordering
@@ -348,14 +323,13 @@ def _block_solve(sys, blocks, h, K, G, Gs, W, b):
         [E  B]    E block-diagonal with one saddle block A_g per group,
         [C  0]    B = h G_out^T and C = (h/2) Gs_out on the joint rows
 
-    with B and C nonzero only in velocity rows and columns. K, G and Gs are
-    values on the system's patterns and W the loads' director blocks (None
-    without loads); each group size's fill places them in its buffers,
-    without forming a dense matrix. Each size of group takes one batched
-    solve X_g = A_g^-1 [B_g, b_g] of its saddle blocks against the wj + 1
-    columns of R_g, which pivots across the velocity and multiplier rows:
-    eliminating the velocity block alone loses digits when a body has
-    near-zero Euler values. One product C_g X_g gives both the Schur
+    with B and C nonzero only in velocity rows and columns. K, W, G and Gs
+    are the arguments of assembly._GroupBlocks.fill, which places them in
+    each group size's buffers without forming a dense matrix. Each size of
+    group takes one batched solve X_g = A_g^-1 [B_g, b_g] of its saddle
+    blocks against the wj + 1 columns of R_g, which pivots across the
+    velocity and multiplier rows: eliminating the velocity block alone
+    loses digits when a body has near-zero Euler values. One product C_g X_g gives both the Schur
     entries C_g A_g^-1 B_g and the right-hand side C_g A_g^-1 b_g, summed
     from the groups into the Schur system on the joint multipliers,
     (sum_g C_g A_g^-1 B_g) x_j = sum_g C_g A_g^-1 b_g - b_j, which one
@@ -529,10 +503,6 @@ def newton_solve(linearize, x0, tol=IntegratorConfig.newton_tol, max_iter=50):
     return NewtonResult(x, False, max_iter, norm, "no convergence within max_iter")
 
 
-def _default_guess(state, h):
-    return np.concatenate([state.q + h * state.v, state.v, state.lam])
-
-
 def _midpoint_start(sys, state, guess, h):
     """Starting value of the augmented corrector: one plain-midpoint Newton
     iteration on (q_next, v_next, lambda_mid) from the first 2n + m entries
@@ -576,7 +546,7 @@ def step(sys, state, config, guess=None):
     linearize = lambda y: midpoint_linearization(sys, state, y, h)
 
     if guess is None:
-        guess = _default_guess(state, h)
+        guess = np.concatenate([state.q + h * state.v, state.v, state.lam])
     start_iters = 0
     if scheme == "mp-ggl":
         guess, start_iters = _midpoint_start(sys, state, guess, h)

@@ -137,7 +137,7 @@ def joint_frame(axis):
     """
     n = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(n)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise JointError(f"reference axis must be a unit vector, |axis| = {norm}")
     k = int(np.argmin(np.abs(n)))
     m2 = np.cross(n, np.eye(3)[k])
@@ -149,7 +149,7 @@ def joint_frame(axis):
 def _check_orthonormal(q, label, tol=1e-6):
     _, d = split_config(q)
     defect = np.abs(d @ d.T - np.eye(3)).max()
-    if defect > tol:
+    if not defect <= tol:
         raise JointError(f"{label}: director triad violates orthonormality by {defect:.2e}")
 
 
@@ -186,6 +186,8 @@ def compile_joint(spec, configs):
         _check_orthonormal(q_b, f"body {spec.body_b}")
 
     loc = spec.joint_location
+    if not np.isfinite(loc).all():
+        raise JointError(f"joint location must be finite, got {loc}")
     phi_a, d_a = split_config(q_a)
     phi_b, d_b = split_config(q_b)
     X_a = d_a @ (loc - phi_a)

@@ -263,18 +263,22 @@ def parse_scenario(text):
     return ScenarioConfig(name=name, bodies=bodies, joints=joints, loads=loads, h=h, t_end=t_end)
 
 
-def serialize_scenario(config):
-    """Inverse of parse_scenario; parse(serialize(c)) == c."""
+def _document(config):
+    """The scenario document of config, from shallow copies of its fields."""
     doc = {
         "name": config.name,
-        "bodies": [dataclasses.asdict(b) for b in config.bodies],
-        "joints": [{key: value for key, value in dataclasses.asdict(j).items()
-                    if value is not None} for j in config.joints],
+        "bodies": [dict(vars(b)) for b in config.bodies],
+        "joints": [{k: v for k, v in vars(j).items() if v is not None} for j in config.joints],
         "integrator": {"h": config.h, "t_end": config.t_end},
     }
     if config.loads:
-        doc["loads"] = [dataclasses.asdict(l) for l in config.loads]
-    return json.dumps(doc, indent=2) + "\n"
+        doc["loads"] = [dict(vars(l)) for l in config.loads]
+    return doc
+
+
+def serialize_scenario(config):
+    """Inverse of parse_scenario; parse(serialize(c)) == c."""
+    return json.dumps(_document(config), indent=2) + "\n"
 
 
 def builtin_scenarios():
@@ -403,7 +407,7 @@ def write_trajectory_csv(traj, path):
 def write_summary_json(config, traj, report, scheme, tol, path):
     """JSON sidecar with the config and run summary for reproducibility."""
     summary = {
-        "scenario": json.loads(serialize_scenario(config)),
+        "scenario": _document(config),
         "integrator": {"scheme": scheme, "h": traj.h, "t_end": config.t_end,
                        "newton_tol": tol},
         "summary": {

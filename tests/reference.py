@@ -165,11 +165,12 @@ def loop_supplied_energy(sys, traj):
 def reduced_matrix(sys, h, K, W, G, Gs, gamma=None):
     """The reduced Newton matrix of midpoint_linearization from dense blocks.
 
-    Takes the arguments of phmbd.integrate._reduced_matrix: K on the
-    pattern of K, the loads' (9, 9) director blocks W (None without loads),
-    G and Gs on the pattern of G, and gamma = (Q, Gg, DG) for the augmented
-    scheme. It scatters K, G and Gs into dense arrays, subtracts each W
-    block in load order, and assembles
+    Takes the arguments of phmbd.assembly._GroupBlocks.fill: K on the
+    pattern of K, the loads' (9, 9) director blocks W (None without loads)
+    and G and Gs on the pattern of G; for the augmented scheme, gamma holds
+    the further arguments (Q, Gg, DG) of _AugmentedBlocks.fill. It scatters
+    K, G and Gs into dense arrays, subtracts each W block in load order,
+    and assembles
 
         [M + (h^2/4)(K - W)   h G^T]
         [(h/2) Gs             0    ]

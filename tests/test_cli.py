@@ -240,13 +240,18 @@ def test_converge_prints_slopes(runner, tmp_path):
 
 
 def test_converge_needs_three_step_sizes(runner, monkeypatch):
-    """Two step sizes cannot fit a slope: one error line before any run."""
+    """Two step sizes, one step size three times, or a reference coarser
+    than a step size it measures cannot fit a slope: one error line before
+    any run."""
     monkeypatch.setattr("phmbd.cli.simulate", _no_simulate)
-    result = runner.invoke(main, [
-        "converge", "--scenario", "flying_pair", "--h", "1e-2,5e-3",
-        "--ref-h", "1e-3", "--tbar", "0.01"])
-    _error_line(result)
-    assert "three step sizes" in result.output
+    for h, ref_h, tbar, words in (("1e-2,5e-3", "1e-3", "0.01", "three step sizes"),
+                                  ("2e-3,2e-3,2e-3", "1e-3", "0.01", "three step sizes"),
+                                  ("2e-3,1e-3,5e-4", "1e-2", "0.02", "--ref-h 0.01 is coarser")):
+        result = runner.invoke(main, [
+            "converge", "--scenario", "flying_pair", "--h", h,
+            "--ref-h", ref_h, "--tbar", tbar])
+        _error_line(result)
+        assert words in result.output
 
 
 def test_converge_unwritable_output_reports_error(runner, tmp_path, monkeypatch):
@@ -305,7 +310,7 @@ def test_converge_failed_reference_reports_failure(runner, tmp_path):
     out.write_text("earlier study\n")
     result = runner.invoke(main, [
         "converge", "--scenario", "slider_crank", "--integrator", "mp-ggl",
-        "--h", "0.02,0.01,0.005", "--ref-h", "0.05", "--tbar", "0.5", "--out", str(out)])
+        "--h", "0.25,0.125,0.1", "--ref-h", "0.05", "--tbar", "0.5", "--out", str(out)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output

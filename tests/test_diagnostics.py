@@ -119,3 +119,6 @@ def test_convergence_orders_excludes_nonpositive():
 def test_convergence_orders_needs_three_points():
     with pytest.raises(ValueError):
         convergence_orders([1e-2, 1e-3], [1.0, 0.1])
+    # three samples at one step size have no slope to fit
+    with pytest.raises(ValueError):
+        convergence_orders([1e-3, 1e-3, 1e-3], [1e-6, 2e-6, 4e-6])

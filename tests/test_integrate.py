@@ -193,8 +193,8 @@ def test_ggl_reduced_system_at_zero_gamma_is_the_midpoint_one(scenario, h, reque
                                                               monkeypatch):
     """At gamma = 0 the leading (n + m) block of the augmented reduced
     system, matrix and right-hand side, is the plain scheme's reduced system
-    (_reduced_matrix) bit for bit, and the lambda rows and column carry
-    nothing else."""
+    (assembly._GroupBlocks.fill) bit for bit, and the lambda rows and
+    column carry nothing else."""
     sys, state = request.getfixturevalue(scenario)
     n, m = sys.n, sys.m
     rng = np.random.default_rng(SEED)

@@ -75,6 +75,21 @@ def test_joint_frame_right_handed_orthonormal():
 def test_joint_frame_rejects_zero_axis():
     with pytest.raises(JointError):
         joint_frame(np.zeros(3))
+    # a NaN norm fails every comparison, so the check must be written NaN-safe
+    with pytest.raises(JointError):
+        joint_frame([np.nan, 0.0, 0.0])
+
+
+def test_compile_joint_rejects_nan_input():
+    """A NaN director or joint location is rejected, not compiled into NaN
+    constants."""
+    nan_director = GROUND_CONFIG.copy()
+    nan_director[3] = np.nan
+    with pytest.raises(JointError, match="orthonormality"):
+        compile_joint(JointSpec("revolute", 0, 1, np.zeros(3), [1.0, 0.0, 0.0]),
+                      [GROUND_CONFIG, nan_director])
+    with pytest.raises(JointError, match="joint location"):
+        compile_joint(JointSpec("spherical", 0, 0, [0.0, np.nan, 0.0]), [GROUND_CONFIG])
 
 
 @pytest.mark.parametrize("kind", PAIR_TYPES)

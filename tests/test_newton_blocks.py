@@ -8,7 +8,7 @@ midpoint system group by group with a Schur system on the joint
 multipliers, and the system takes that path only where an operation count,
 taken on its first step, says it beats one dense LU. The helpers are called directly, on systems
 either path would take. The dense path fills the matrix as the one group
-of every unknown (`integrate._reduced_matrix`); the dense matrix and each
+of every unknown (`MultibodySystem._dense_blocks`); the dense matrix and each
 group's blocks must equal the dense formula of `reference.reduced_matrix`
 bit for bit.
 """
@@ -124,7 +124,7 @@ def test_block_solve_matches_dense_solve(name, h, request):
     b = rng.standard_normal(sys.n + sys.m)
     K, W, G, Gs = _reduced_terms(sys, state, y, h)
     blocks = [_GroupBlocks(sys, vel, mult) for vel, mult in _newton_groups(sys)]
-    x = _block_solve(sys, blocks, h, K, G, Gs, W, b)
+    x = _block_solve(sys, blocks, h, K, W, G, Gs, b)
     x_ref = np.linalg.solve(reduced_matrix(sys, h, K, W, G, Gs), b)
     assert np.abs(x - x_ref).max() <= BLOCK_RTOL * np.abs(x_ref).max()
 
@@ -141,7 +141,7 @@ def test_block_solve_reuses_its_buffers(name, request):
     for _ in range(2):
         K, W, G, Gs = _reduced_terms(sys, state, _random_iterate(sys, state, h, rng), h)
         b = rng.standard_normal(sys.n + sys.m)
-        x = _block_solve(sys, blocks, h, K, G, Gs, W, b)
+        x = _block_solve(sys, blocks, h, K, W, G, Gs, b)
         x_ref = np.linalg.solve(reduced_matrix(sys, h, K, W, G, Gs), b)
         assert np.abs(x - x_ref).max() <= BLOCK_RTOL * np.abs(x_ref).max()
 
@@ -186,20 +186,19 @@ def test_dense_matrix_is_the_dense_formula(scheme, name, h, request, monkeypatch
     if scheme == "mp-ggl":
         y = np.concatenate([y, rng.standard_normal(sys.m)])
         size += sys.m
-    calls, assemble = [], integrate._reduced_matrix
+    blocks = sys._dense_blocks if scheme == "mp" else sys._augmented_blocks
+    calls, fill = [], blocks.fill
 
     def recording(*args):
-        A = assemble(*args)
-        calls.append((args, A.copy()))
-        return A
+        fill(*args)
+        calls.append((args, blocks.A[0].copy()))
 
-    monkeypatch.setattr(integrate, "_reduced_matrix", recording)
-    blocks = sys._dense_blocks if scheme == "mp" else sys._augmented_blocks
+    monkeypatch.setattr(blocks, "fill", recording)
     blocks.A.fill(np.nan)
     midpoint_linearization(sys, state, y, h)[1]()
-    [((_, h_, K, W, G, Gs, gamma), A)] = calls
-    assert A.shape == (size, size) and (gamma is None) == (scheme == "mp")
-    npt.assert_array_equal(A, reduced_matrix(sys, h_, K, W, G, Gs, gamma))
+    [((h_, K, W, G, Gs, *gamma), A)] = calls
+    assert A.shape == (size, size) and (gamma == []) == (scheme == "mp")
+    npt.assert_array_equal(A, reduced_matrix(sys, h_, K, W, G, Gs, tuple(gamma) or None))
 
 
 def test_block_update_matches_full_newton_step():

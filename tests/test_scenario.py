@@ -310,6 +310,12 @@ def test_summary_json_contents(tmp_path, flying_pair):
     assert doc["summary"]["failure"] is None
     assert doc["summary"]["max_g"] <= 1e-9
     assert doc["summary"]["relative_energy_drift"] <= 1e-12
+    # the sidecar embeds the scenario document that serialize_scenario writes
+    for name in builtin_scenarios():
+        cfg = load_scenario(name)
+        write_summary_json(cfg, traj, rep, "mp", 1e-9, path)
+        doc = json.loads(path.read_text())
+        assert doc["scenario"] == json.loads(serialize_scenario(cfg))
 
 
 def test_load_scenario_from_path(tmp_path):
