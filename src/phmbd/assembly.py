@@ -50,16 +50,16 @@ The constants are exact: every row is a dot-product row of a table, the
 pairs' (phmbd.joints) and the six orthonormality rows of each body
 (_ORTHONORMALITY) alike, and g0, G0 and H are written from the tables
 directly (_constant_tensors), with zeros wherever the tables have them.
-The first mp Newton update groups the bodies that H couples
-(_newton_groups) and decides once, by an operation count on their shapes,
-whether it eliminates those groups one by one or solves one dense system
-(_blocks_pay); the groups' blocks are built only where the count without
-their joint rows does not already lose. One map places the pattern values
-and the loads' blocks in either (_GroupBlocks): per group size for the
-former; for the dense matrix it is the one group of every velocity and
-multiplier, and the mp-ggl matrix adds its gamma blocks to that group at
-size n + 2m (_AugmentedBlocks). All three are built on first use, so a
-system that is never stepped holds only its constants and patterns.
+Each reduced Newton matrix is filled and solved by one map kept with the
+system. The first mp Newton update groups the bodies that H couples
+(_newton_groups) and decides once, by an operation count on their shapes
+(_blocks_pay), whether the mp map eliminates those groups one by one
+(_JointSchur, the block path) or solves one dense system. One map places
+the pattern values and the loads' blocks in either (_GroupBlocks): per
+group size for the former; for the dense matrix it is the one group of
+every velocity and multiplier, and the mp-ggl matrix adds its gamma blocks
+to that group at size n + 2m (_AugmentedBlocks). Both maps are built on
+first use, so a system that is never stepped holds only its constants.
 """
 from __future__ import annotations
 
@@ -198,29 +198,23 @@ class MultibodySystem:
 
     @cached_property
     def _newton_blocks(self):
-        """_GroupBlocks per size of the Newton groups, which the mp update
-        eliminates one by one, or None where one dense solve is cheaper
-        (_blocks_pay). One group is the dense matrix with its joint rows
-        eliminated last, in more LAPACK calls (24 revolute bodies: 1.26
-        times the dense update), so it never pays and builds nothing.
-        Neither does a count that loses before the joint rows are priced:
-        every term in wj is non-negative, and the groups' shapes give the
-        rest (slider_crank, closed_loop)."""
+        """The map that fills and solves the reduced mp Newton matrix: the
+        block path (_JointSchur) where an operation count says it beats one
+        dense LU (_blocks_pay), else the _GroupBlocks of the one group of
+        every unknown. One Newton group is the dense matrix with its joint
+        rows eliminated last, in more LAPACK calls (24 revolute bodies: 1.26
+        times the dense update), so it never pays. The groups' blocks are
+        built only where the count without their joint rows does not
+        already lose (slider_crank, closed_loop): every term in wj is
+        non-negative."""
         groups = _newton_groups(self)
-        if sum(len(vel) for vel, _ in groups) < 2:
-            return None
         shapes = [(len(vel), vel.shape[1] + mult.shape[1], vel.shape[1], 0)
                   for vel, mult in groups]
-        if not _blocks_pay(self, shapes):
-            return None
-        blocks = tuple(_GroupBlocks(self, vel, mult) for vel, mult in groups)
-        shapes = [blk.A.shape[:2] + (blk.nv, blk.joint.shape[1]) for blk in blocks]
-        return blocks if _blocks_pay(self, shapes) else None
-
-    @cached_property
-    def _dense_blocks(self):
-        """_GroupBlocks of the dense mp update, one group of every velocity
-        and multiplier, built on first use."""
+        if sum(len(vel) for vel, _ in groups) > 1 and _blocks_pay(self, shapes):
+            blocks = tuple(_GroupBlocks(self, vel, mult) for vel, mult in groups)
+            if _blocks_pay(self, [blk.A.shape[:2] + (blk.nv, blk.joint.shape[1])
+                                  for blk in blocks]):
+                return _JointSchur(self, blocks)
         return _GroupBlocks(self, np.arange(self.n)[None], np.arange(self.m)[None])
 
     @cached_property
@@ -371,10 +365,10 @@ class _GroupBlocks:
     with G_in on the group's own rows and G_out on the joint rows that
     touch the group, padded to a common width wj (_joint_slots). The dense
     reduced matrix is A[0] of the one group of every velocity and
-    multiplier, where wj = 0.
+    multiplier, where wj = 0, and solve solves it by one LU.
 
     B_g is kept as the leading block of the right-hand side R_g (s, wj + 1)
-    of the block path's batched solve A_g^-1 R_g (integrate._block_solve):
+    of the block path's batched solve A_g^-1 R_g (_JointSchur.solve):
     R_g = [[B_g, b_v], [0, b_m]], whose last column the solve writes with
     the group's entries of the right-hand side b; B is a view of R.
 
@@ -460,6 +454,72 @@ class _GroupBlocks:
         if self.B.size:
             self.R.ravel()[self.B_at] = h * G[self.G_out]
             self.C.ravel()[self.C_at] = (0.5 * h) * Gs[self.G_out]
+
+    def solve(self, h, K, W, G, Gs, b, *gamma):
+        """fill, then solve A[0] x = b by one LU (np.linalg.LinAlgError when
+        singular): the matrix of the one group of every unknown."""
+        self.fill(h, K, W, G, Gs, *gamma)
+        return np.linalg.solve(self.A[0], b)
+
+
+class _JointSchur:
+    """The reduced mp Newton matrix solved group by group: the block path.
+
+    MultibodySystem._newton_blocks takes this path where an operation
+    count, taken once on the system's first mp Newton update, says it beats
+    one dense LU of size n + m (_blocks_pay): larger systems of small
+    groups, such as spherical chains of five bodies or more. blocks are the
+    _GroupBlocks of the Newton groups, one per group size (_newton_groups).
+    No entry of K, W or an orthonormality row couples two groups, so
+    ordering each group's velocities and orthonormality multipliers together
+    makes the matrix
+
+        [E  B]    E block-diagonal with one saddle block A_g per group,
+        [C  0]    B = h G_out^T and C = (h/2) Gs_out on the joint rows
+
+    with B and C nonzero only in velocity rows and columns. The pattern
+    values and the loads' blocks go straight into each group size's
+    buffers (_GroupBlocks.fill), with no (n, n), (m, n) or (n, mj) array.
+    Each size of group takes one batched solve X_g = A_g^-1 [B_g, b_g] of
+    its saddle blocks against the wj + 1 columns of R_g, which pivots
+    across the velocity and multiplier rows: eliminating the velocity block
+    alone loses digits when a body has near-zero Euler values. One product
+    C_g X_g gives both the Schur entries C_g A_g^-1 B_g and the right-hand
+    side C_g A_g^-1 b_g, summed from the groups into the Schur system on
+    the mj = m - m_internal joint multipliers,
+    (sum_g C_g A_g^-1 B_g) x_j = sum_g C_g A_g^-1 b_g - b_j, which one
+    np.linalg.solve solves; then x_g = X_g [-x_j; 1]. An update takes one
+    np.linalg.solve per size of group and one for the Schur system.
+    """
+
+    def __init__(self, sys, blocks):
+        self.blocks, self.n, self.mi = blocks, sys.n, sys.m_internal
+        self.mj = sys.m - sys.m_internal
+
+    def solve(self, h, K, W, G, Gs, b):
+        """Solve A x = b for the reduced matrix A of K, W, G and Gs (the
+        arguments of _GroupBlocks.fill). Raises np.linalg.LinAlgError when
+        a saddle block or the Schur system is singular."""
+        n, mi, mj = self.n, self.mi, self.mj
+        # the Schur matrix, its right-hand side and a last bin for the padding
+        S = np.zeros(mj * mj + mj + 1)
+        parts = []
+        for blk in self.blocks:
+            blk.fill(h, K, W, G, Gs)
+            blk.R[:, :, -1] = b[blk.idx]
+            X = np.linalg.solve(blk.A, blk.R)
+            S += np.bincount(blk.schur_at.ravel(), (blk.C @ X[:, :blk.nv]).ravel(),
+                             minlength=S.size)
+            parts.append((blk, X))
+        # [-x_j, 0 for the padded slots, 1 for b's column]
+        t = np.zeros(mj + 2)
+        t[:mj] = np.linalg.solve(S[:mj * mj].reshape(mj, mj), b[n + mi:] - S[mj * mj:-1])
+        t[mj + 1] = 1.0
+        x = np.empty(b.size)
+        x[n + mi:] = -t[:mj]
+        for blk, X in parts:
+            x[blk.idx] = (X @ t[blk.columns, None])[..., 0]
+        return x
 
 
 class _AugmentedBlocks(_GroupBlocks):

@@ -138,8 +138,10 @@ def converge(scenario, scheme, tol, h_list, ref_h, tbar, out):
     except ValueError:
         _fail("--h must be a comma-separated list of numbers")
     ref_integ, *integs = [_integrator(scheme, tol, h, tbar) for h in [ref_h] + steps]
-    if len(steps) < 3 or len(set(steps)) < len(steps):
-        _fail(f"--h needs at least three step sizes to fit a slope, each once, got {h_list}")
+    # a step size equal to --ref-h has error exactly zero
+    if len(set(steps)) < len(steps) or len(set(steps) - {ref_h}) < 3:
+        _fail(f"--h needs three step sizes other than --ref-h, each once, for three positive "
+              f"errors to fit a slope, got {h_list}")
     if ref_h > min(steps):
         _fail(f"--ref-h {ref_h:g} is coarser than the step size {min(steps):g} it measures")
     with _outputs("the study's output", *([out] if out else [])) as temps:

@@ -35,20 +35,15 @@ Newton iteration of either scheme eliminates one block of n unknowns
 a system of size n + m in (v_next, lambda_mid) instead of 2n + m; the
 augmented scheme eliminates v_next as well, through the position row, and
 solves a system of size n + 2m in (2 dw, lambda_mid, gamma_mid) instead of
-2n + 2m, whose gamma = 0 block is the plain scheme's system. The plain
-system is a saddle block per group of bodies the constraint Hessians
-couple, tied together only by the joint multipliers. Where an operation
-count, taken once on the first mp Newton update, says it pays (larger
-systems of small groups, such as spherical chains of five bodies or more),
-the pattern values are scattered straight into the groups' saddle and
-coupling blocks, the blocks are eliminated group by group and the joint
-multipliers solve a Schur system, with no (n, n) or (m, n) array formed;
-otherwise, and always for the augmented scheme, the reduced system is
-solved by one dense LU. The dense matrix is the case of one group that
-holds every unknown, so the pattern values and the load blocks go into it
-and into the groups' blocks by one map fixed per system
-(assembly._GroupBlocks; _AugmentedBlocks adds the gamma border), with no
-dense K, W or G in between.
+2n + 2m, whose gamma = 0 block is the plain scheme's system. Each
+reduced system is filled and solved by a map kept with the system
+(MultibodySystem._newton_blocks for the plain scheme, _augmented_blocks
+for the augmented one), which places the pattern values and the load
+blocks straight into the matrix, with no dense K, W or G in between. The
+augmented system takes one dense LU. The plain system is a saddle block
+per group of bodies the constraint Hessians couple, tied together only by
+the joint multipliers; it is solved group by group where an operation
+count says that pays (assembly._JointSchur), otherwise by one dense LU.
 ggl_jacobian is the full Newton matrix, the chain rule through (w, p), kept
 as the reference the reduced updates of both schemes are tested against;
 midpoint_jacobian, the plain scheme's, is its leading (2n + m) block at
@@ -241,25 +236,16 @@ def midpoint_linearization(sys, state, y, h):
     K, D and G enter as their values on the patterns fixed at assembly
     and W as one (9, 9) block per load on its body's directors; the
     right-hand sides and the back substitution take their products from
-    those values. One map places them in the reduced matrix
-    (assembly._GroupBlocks.fill), into buffers kept with the system and
-    overwritten on every call, so one system is stepped by one thread at a
-    time. The plain system is solved in one of two ways, chosen once per
-    system on its first mp Newton update (MultibodySystem._newton_blocks,
-    which mp-ggl builds too, through _midpoint_start): by one dense LU of
-    the whole matrix, the one group of every velocity and multiplier
-    (MultibodySystem._dense_blocks), or, when an operation count says it
-    is cheaper, group by group (_block_solve): each group's saddle block
-    and its coupling blocks to the joint rows are filled, each size of group
-    takes one batched solve against its coupling columns and its part of
-    the right-hand side, and the Schur system on the joint multipliers is
-    summed from the groups' small products, with no (n, n), (m, n) or
-    (n, mj) array. The augmented system is always solved by one dense LU of
-    the one group at size n + 2m; its M^-1 products of K(gamma) and G are
-    summed over the column pairs of their fixed patterns
-    (assembly._AugmentedBlocks), with no dense product. Each dense update
-    takes one np.linalg.solve; a block update takes one per size of group
-    and one for the Schur system.
+    those values. The reduced matrix is filled and solved by one call to
+    the system's map, into buffers kept with the system and overwritten on
+    every call, so one system is stepped by one thread at a time: the plain
+    scheme's MultibodySystem._newton_blocks, chosen once per system on its
+    first mp Newton update (which mp-ggl takes too, through
+    _midpoint_start), solves it by one dense LU (assembly._GroupBlocks) or
+    group by group (assembly._JointSchur); the augmented scheme's
+    _augmented_blocks by one dense LU at size n + 2m, with the M^-1
+    products of K(gamma) and G summed over the column pairs of their fixed
+    patterns (assembly._AugmentedBlocks), with no dense product.
     """
     n, m = sys.n, sys.m
     lam = y[2 * n:2 * n + m]
@@ -295,13 +281,8 @@ def midpoint_linearization(sys, state, y, h):
             Q = sys._augmented_blocks.products(np.concatenate([hKg, Gs]),
                                                np.concatenate([hKg, 2.0 * G]))
             gamma = (Q, Gs + (0.5 * h) * (D + hDp), h * D - 2.0 * G)
-        b = np.concatenate(b)
-        if D is None and sys._newton_blocks is not None:
-            x = _block_solve(sys, sys._newton_blocks, h, K, W, G, Gs, b)
-        else:
-            blk = sys._dense_blocks if D is None else sys._augmented_blocks
-            blk.fill(h, K, W, G, Gs, *gamma)
-            x = np.linalg.solve(blk.A[0], b)
+        blocks = sys._newton_blocks if D is None else sys._augmented_blocks
+        x = blocks.solve(h, K, W, G, Gs, np.concatenate(b), *gamma)
         u = x[:n]
         dq = (0.5 * h) * u - r_q
         if D is None:
@@ -310,54 +291,6 @@ def midpoint_linearization(sys, state, y, h):
         return np.concatenate([dq, dv, x[n:]])
 
     return r, update
-
-
-def _block_solve(sys, blocks, h, K, W, G, Gs, b):
-    """Solve A x = b for the reduced mp Newton matrix A, group by group.
-
-    blocks are the assembly._GroupBlocks of the system's Newton groups: no
-    entry of K, W or an orthonormality row couples two groups, so ordering
-    each group's velocities and orthonormality multipliers together makes
-    the matrix
-
-        [E  B]    E block-diagonal with one saddle block A_g per group,
-        [C  0]    B = h G_out^T and C = (h/2) Gs_out on the joint rows
-
-    with B and C nonzero only in velocity rows and columns. K, W, G and Gs
-    are the arguments of assembly._GroupBlocks.fill, which places them in
-    each group size's buffers without forming a dense matrix. Each size of
-    group takes one batched solve X_g = A_g^-1 [B_g, b_g] of its saddle
-    blocks against the wj + 1 columns of R_g, which pivots across the
-    velocity and multiplier rows: eliminating the velocity block alone
-    loses digits when a body has near-zero Euler values. One product C_g X_g gives both the Schur
-    entries C_g A_g^-1 B_g and the right-hand side C_g A_g^-1 b_g, summed
-    from the groups into the Schur system on the joint multipliers,
-    (sum_g C_g A_g^-1 B_g) x_j = sum_g C_g A_g^-1 b_g - b_j, which one
-    np.linalg.solve solves; then x_g = X_g [-x_j; 1]. Raises
-    np.linalg.LinAlgError when a saddle block or the Schur system is
-    singular.
-    """
-    n, mi = sys.n, sys.m_internal
-    mj = sys.m - mi
-    # the Schur matrix, its right-hand side and a last bin for the padding
-    S = np.zeros(mj * mj + mj + 1)
-    parts = []
-    for blk in blocks:
-        blk.fill(h, K, W, G, Gs)
-        blk.R[:, :, -1] = b[blk.idx]
-        X = np.linalg.solve(blk.A, blk.R)
-        S += np.bincount(blk.schur_at.ravel(), (blk.C @ X[:, :blk.nv]).ravel(),
-                         minlength=S.size)
-        parts.append((blk, X))
-    # [-x_j, 0 for the padded slots, 1 for b's column]
-    t = np.zeros(mj + 2)
-    t[:mj] = np.linalg.solve(S[:mj * mj].reshape(mj, mj), b[n + mi:] - S[mj * mj:-1])
-    t[mj + 1] = 1.0
-    x = np.empty(b.size)
-    x[n + mi:] = -t[:mj]
-    for blk, X in parts:
-        x[blk.idx] = (X @ t[blk.columns, None])[..., 0]
-    return x
 
 
 def midpoint_jacobian(sys, state, y, h):
@@ -531,10 +464,10 @@ def step(sys, state, config, guess=None):
     Euler position and the carried-over velocities and multipliers
     (simulate passes its extrapolated starts). The plain scheme solves an
     (n + m) linear system per Newton iteration, with q_next eliminated,
-    densely or group by group, and the augmented scheme a dense (n + 2m)
-    one, with q_next and v_next eliminated (see midpoint_linearization).
-    Each dense reduced matrix is assembled in an array kept with the
-    system. The augmented corrector starts from one plain-midpoint
+    densely or group by group (assembly._JointSchur), and the augmented
+    scheme a dense (n + 2m) one, with q_next and v_next eliminated (see
+    midpoint_linearization). Each reduced matrix is assembled in arrays
+    kept with the system. The augmented corrector starts from one plain-midpoint
     iteration on guess (see _midpoint_start); any gamma entries in guess
     are ignored, and that iteration is included in the count. The
     converged midpoint multipliers are stored on the returned state.

@@ -146,11 +146,14 @@ def joint_frame(axis):
     return n, m1, m2
 
 
-def _check_orthonormal(q, label, tol=1e-6):
+def _check_body(q, label, tol=1e-6):
+    """Reject a body configuration that is off the manifold or not finite."""
     _, d = split_config(q)
     defect = np.abs(d @ d.T - np.eye(3)).max()
     if not defect <= tol:
         raise JointError(f"{label}: director triad violates orthonormality by {defect:.2e}")
+    if not np.isfinite(q).all():
+        raise JointError(f"{label}: configuration must be finite, got {q}")
 
 
 def _on_a(axis):
@@ -181,9 +184,9 @@ def compile_joint(spec, configs):
     is_ground = spec.body_a == spec.body_b
     q_a = np.asarray(configs[spec.body_a], dtype=float)
     q_b = GROUND_CONFIG if is_ground else np.asarray(configs[spec.body_b], dtype=float)
-    _check_orthonormal(q_a, f"body {spec.body_a}")
+    _check_body(q_a, f"body {spec.body_a}")
     if not is_ground:
-        _check_orthonormal(q_b, f"body {spec.body_b}")
+        _check_body(q_b, f"body {spec.body_b}")
 
     loc = spec.joint_location
     if not np.isfinite(loc).all():

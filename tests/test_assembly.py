@@ -1,9 +1,12 @@
 """Assembled multibody system: stacking, energy, operators."""
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from phmbd.assembly import (
+    BodyLoad,
     MultibodySystem,
     SystemState,
     consistency,
@@ -19,6 +22,7 @@ from phmbd.assembly import (
     total_angular_momentum,
 )
 from phmbd.directors import angular_momentum, internal_constraints
+from phmbd.joints import JointSpec
 from phmbd.joints import residual as joint_residual
 
 from conftest import fd_jacobian
@@ -30,6 +34,21 @@ SEED = 4242
 SKEW_TOL = 1e-14
 
 
+
+
+def test_system_rejects_bad_bodies_joints_and_loads(flying_pair):
+    """Body indices not dense from 0, an uncompiled pair, and a pair or a
+    load on a body the system does not hold are rejected at construction."""
+    sys, _ = flying_pair
+    bodies, (joint,) = sys.bodies, sys.joints
+    with pytest.raises(ValueError, match="dense from 0"):
+        MultibodySystem([dataclasses.replace(bodies[0], index=2), bodies[1]])
+    with pytest.raises(TypeError, match="compiled before assembly"):
+        MultibodySystem(bodies, [JointSpec("spherical", 0, 1, np.zeros(3))])
+    with pytest.raises(ValueError, match=r"unknown body \(0, 2\)"):
+        MultibodySystem(bodies, [dataclasses.replace(joint, body_b=2)])
+    with pytest.raises(ValueError, match="load references unknown body 2"):
+        MultibodySystem(bodies, [joint], [BodyLoad(2, lambda t: np.zeros(6))])
 
 
 def test_dimensions(flying_pair, slider_crank, closed_loop):

@@ -51,6 +51,20 @@ def test_simulate_writes_csv_and_summary(runner, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fp.csv", "fp.json", "probe"]
 
 
+def test_simulate_writes_to_working_directory_by_default(runner, tmp_path, monkeypatch):
+    """Without --out the trajectory goes to <name>_<scheme>.csv in the
+    working directory, with its sidecar beside it."""
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, [
+        "simulate", "--scenario", "flying_pair", "--integrator", "mp-ggl",
+        "--h", "0.001", "--t-end", "0.002"])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flying_pair_mp-ggl.csv",
+                                                          "flying_pair_mp-ggl.json"]
+    assert "wrote flying_pair_mp-ggl.csv and flying_pair_mp-ggl.json" in result.output
+    assert len((tmp_path / "flying_pair_mp-ggl.csv").read_text().splitlines()) == 4
+
+
 @pytest.mark.parametrize("scheme", ["mp", "mp-ggl"])
 def test_simulate_reports_power_defect_under_load(runner, tmp_path, scheme):
     """closed_loop's energy drift is the work of its load; the power defect,
@@ -227,16 +241,19 @@ def test_simulate_slider_crank_midpoint_coarse_step(runner, tmp_path):
 
 
 def test_converge_prints_slopes(runner, tmp_path):
+    """A study fits its slopes, also with a fourth step size equal to
+    --ref-h, whose error is exactly zero, beside three others."""
     out = tmp_path / "conv.json"
-    result = runner.invoke(main, [
-        "converge", "--scenario", "flying_pair", "--h", "1e-2,2e-3,1e-3",
-        "--ref-h", "1e-4", "--tbar", "0.01", "--out", str(out)])
-    assert result.exit_code == 0, result.output
-    doc = json.loads(out.read_text())
-    assert doc["t_bar"] == 0.01
-    assert set(doc["slopes"]) >= {"q", "v", "lam", "H", "L"}
-    assert 1.6 <= doc["slopes"]["q"] <= 2.4
-    assert "q" in result.output
+    for h, ref_h in (("1e-2,2e-3,1e-3", "1e-4"), ("1e-2,5e-3,2e-3,1e-3", "1e-3")):
+        result = runner.invoke(main, [
+            "converge", "--scenario", "flying_pair", "--h", h,
+            "--ref-h", ref_h, "--tbar", "0.01", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(out.read_text())
+        assert doc["t_bar"] == 0.01
+        assert set(doc["slopes"]) >= {"q", "v", "lam", "H", "L"}
+        assert 1.6 <= doc["slopes"]["q"] <= 2.4
+        assert "q" in result.output
 
 
 def test_converge_needs_three_step_sizes(runner, monkeypatch):
@@ -254,6 +271,15 @@ def test_converge_needs_three_step_sizes(runner, monkeypatch):
         assert words in result.output
 
 
+def test_converge_rejects_non_numeric_step_sizes(runner, monkeypatch):
+    monkeypatch.setattr("phmbd.cli.simulate", _no_simulate)
+    result = runner.invoke(main, [
+        "converge", "--scenario", "flying_pair", "--h", "1e-2,fine,1e-3",
+        "--ref-h", "1e-4", "--tbar", "0.01"])
+    _error_line(result)
+    assert "--h must be a comma-separated list of numbers" in result.output
+
+
 def test_converge_unwritable_output_reports_error(runner, tmp_path, monkeypatch):
     """An --out path in a missing directory is one error line, exit 1, found
     before the reference and the step sizes run."""
@@ -267,9 +293,10 @@ def test_converge_unwritable_output_reports_error(runner, tmp_path, monkeypatch)
     assert not out.parent.exists()
 
 
-def test_converge_zero_errors_report_error(runner):
+def test_converge_zero_errors_report_error(runner, monkeypatch):
     """A step size equal to the reference's has error exactly zero, which
-    leaves two samples for the slope fit: one error line."""
+    leaves two samples for the slope fit: one error line before any run."""
+    monkeypatch.setattr("phmbd.cli.simulate", _no_simulate)
     result = runner.invoke(main, [
         "converge", "--scenario", "flying_pair", "--h", "1e-2,2e-3,1e-3",
         "--ref-h", "1e-3", "--tbar", "0.01"])
@@ -318,6 +345,28 @@ def test_converge_failed_reference_reports_failure(runner, tmp_path):
     assert blob["ref_h"] == 0.05 and blob["failure"]["step"] >= 1
     assert out.read_text() == "earlier study\n"
     assert [p.name for p in tmp_path.iterdir()] == ["study.json"]
+
+
+def test_converge_failed_step_size_reports_failure(runner, tmp_path):
+    """A step-size run that diverges after the reference completed is
+    reported by its failure record and step size, exit 1; no study is
+    written."""
+    out = tmp_path / "study.json"
+    result = runner.invoke(main, [
+        "converge", "--scenario", "slider_crank", "--integrator", "mp-ggl",
+        "--h", "0.1,0.05,0.025", "--ref-h", "0.01", "--tbar", "0.5", "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    blob = json.loads(result.output.strip().splitlines()[-1])
+    assert blob["h"] == 0.1 and blob["failure"]["step"] >= 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_init_velocities_needs_slider_crank_layout(runner):
+    result = runner.invoke(main, ["init-velocities", "--scenario", "flying_pair"])
+    _error_line(result)
+    assert "does not have the slider-crank layout" in result.output
 
 
 def test_init_velocities_matches_tables(runner):

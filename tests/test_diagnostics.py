@@ -6,6 +6,7 @@ import pytest
 from phmbd.assembly import consistency, hamiltonian, total_angular_momentum
 from phmbd.diagnostics import (
     ConvergenceFit,
+    DiagnosticsReport,
     conservation_report,
     convergence_orders,
     rms_error,
@@ -79,6 +80,29 @@ def test_rms_error_zero_against_itself(flying_pair):
         assert err[key] == 0.0
 
 
+def test_rms_error_rejects_off_grid_and_initial_time(flying_pair):
+    """t_bar must be a grid time of both runs and the end of a step: at
+    t = 0 there are no step multipliers to compare."""
+    sys, state = flying_pair
+    traj = simulate(sys, state, IntegratorConfig(h=0.001, t_end=0.01))
+    coarse = simulate(sys, state, IntegratorConfig(h=0.002, t_end=0.01))
+    with pytest.raises(ValueError, match="t = 0.003 is not on the trajectory grid"):
+        rms_error(coarse, traj, 0.003)
+    with pytest.raises(ValueError, match="needs a step ending at t_bar"):
+        rms_error(traj, traj, 0.0)
+
+
+def test_report_rejects_series_off_its_grid():
+    """L must hold one row per entry of H, and the increments one fewer."""
+    H = np.zeros(4)
+    with pytest.raises(ValueError, match="do not share a time grid"):
+        DiagnosticsReport(H=H, dH=np.zeros(3), L=np.zeros((3, 3)),
+                          supplied_energy=np.zeros(3), power_defect=np.zeros(3))
+    with pytest.raises(ValueError, match="one shorter than the grid"):
+        DiagnosticsReport(H=H, dH=np.zeros(4), L=np.zeros((4, 3)),
+                          supplied_energy=np.zeros(4), power_defect=np.zeros(4))
+
+
 def test_rms_error_decreases_with_step(flying_pair):
     """q and v errors shrink with h; H and L errors stay at solver precision.
 
@@ -122,3 +146,8 @@ def test_convergence_orders_needs_three_points():
     # three samples at one step size have no slope to fit
     with pytest.raises(ValueError):
         convergence_orders([1e-3, 1e-3, 1e-3], [1e-6, 2e-6, 4e-6])
+
+
+def test_convergence_orders_rejects_misaligned_samples():
+    with pytest.raises(ValueError, match="must align"):
+        convergence_orders([1e-2, 1e-3, 1e-4], [1.0, 0.1])

@@ -114,7 +114,7 @@ def test_reduced_midpoint_update_matches_full_solve(scenario, h, request):
     dy_full = np.linalg.solve(midpoint_jacobian(sys, state, y, h), -r)
     assert np.abs(dy - dy_full).max() <= 1e-12 * np.abs(dy_full).max()
     # the system's reused dense array is overwritten entirely, stale entries included
-    sys._dense_blocks.A.fill(np.nan)
+    sys._newton_blocks.A.fill(np.nan)
     npt.assert_array_equal(midpoint_linearization(sys, state, y, h)[1](), dy)
 
 

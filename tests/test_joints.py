@@ -81,8 +81,9 @@ def test_joint_frame_rejects_zero_axis():
 
 
 def test_compile_joint_rejects_nan_input():
-    """A NaN director or joint location is rejected, not compiled into NaN
-    constants."""
+    """A NaN director, a non-finite body position or a NaN joint location is
+    rejected, not compiled into non-finite constants; a bad position names
+    its body, A or B."""
     nan_director = GROUND_CONFIG.copy()
     nan_director[3] = np.nan
     with pytest.raises(JointError, match="orthonormality"):
@@ -90,6 +91,15 @@ def test_compile_joint_rejects_nan_input():
                       [GROUND_CONFIG, nan_director])
     with pytest.raises(JointError, match="joint location"):
         compile_joint(JointSpec("spherical", 0, 0, [0.0, np.nan, 0.0]), [GROUND_CONFIG])
+    nan_position = GROUND_CONFIG.copy()
+    nan_position[0] = np.nan
+    with pytest.raises(JointError, match="body 0: configuration must be finite"):
+        compile_joint(JointSpec("spherical", 0, 0, np.zeros(3)), [nan_position])
+    inf_position = GROUND_CONFIG.copy()
+    inf_position[1] = np.inf
+    with pytest.raises(JointError, match="body 1: configuration must be finite"):
+        compile_joint(JointSpec("revolute", 0, 1, np.zeros(3), [1.0, 0.0, 0.0]),
+                      [GROUND_CONFIG, inf_position])
 
 
 @pytest.mark.parametrize("kind", PAIR_TYPES)

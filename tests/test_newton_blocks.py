@@ -3,14 +3,14 @@ fills it.
 
 `assembly._newton_groups` groups the bodies that the constraint Hessians
 couple, `assembly._GroupBlocks` maps the kernel's pattern values into
-the blocks of each group size, `integrate._block_solve` solves the reduced (n + m)
-midpoint system group by group with a Schur system on the joint
-multipliers, and the system takes that path only where an operation count,
-taken on its first step, says it beats one dense LU. The helpers are called directly, on systems
-either path would take. The dense path fills the matrix as the one group
-of every unknown (`MultibodySystem._dense_blocks`); the dense matrix and each
-group's blocks must equal the dense formula of `reference.reduced_matrix`
-bit for bit.
+the blocks of each group size, and `assembly._JointSchur` solves the
+reduced (n + m) midpoint system group by group (the block path, described
+there). The system's mp map (`MultibodySystem._newton_blocks`) is a
+`_JointSchur` only where an operation count, taken on its first step, says
+it beats one dense LU; otherwise it is the `_GroupBlocks` of the one group
+of every unknown. The helpers are called directly, on systems either path
+would take. The dense matrix and each group's blocks must equal the dense
+formula of `reference.reduced_matrix` bit for bit.
 """
 import tracemalloc
 
@@ -23,6 +23,7 @@ from phmbd.assembly import (
     MultibodySystem,
     SystemState,
     _GroupBlocks,
+    _JointSchur,
     _contraction_values,
     _input_map_blocks,
     _jacobian_values,
@@ -33,7 +34,6 @@ from phmbd.assembly import (
 from phmbd import assembly, integrate
 from phmbd.directors import RigidBody
 from phmbd.integrate import (
-    _block_solve,
     midpoint_jacobian,
     midpoint_linearization,
     newton_solve,
@@ -124,7 +124,7 @@ def test_block_solve_matches_dense_solve(name, h, request):
     b = rng.standard_normal(sys.n + sys.m)
     K, W, G, Gs = _reduced_terms(sys, state, y, h)
     blocks = [_GroupBlocks(sys, vel, mult) for vel, mult in _newton_groups(sys)]
-    x = _block_solve(sys, blocks, h, K, W, G, Gs, b)
+    x = _JointSchur(sys, blocks).solve(h, K, W, G, Gs, b)
     x_ref = np.linalg.solve(reduced_matrix(sys, h, K, W, G, Gs), b)
     assert np.abs(x - x_ref).max() <= BLOCK_RTOL * np.abs(x_ref).max()
 
@@ -141,7 +141,7 @@ def test_block_solve_reuses_its_buffers(name, request):
     for _ in range(2):
         K, W, G, Gs = _reduced_terms(sys, state, _random_iterate(sys, state, h, rng), h)
         b = rng.standard_normal(sys.n + sys.m)
-        x = _block_solve(sys, blocks, h, K, W, G, Gs, b)
+        x = _JointSchur(sys, blocks).solve(h, K, W, G, Gs, b)
         x_ref = np.linalg.solve(reduced_matrix(sys, h, K, W, G, Gs), b)
         assert np.abs(x - x_ref).max() <= BLOCK_RTOL * np.abs(x_ref).max()
 
@@ -186,7 +186,7 @@ def test_dense_matrix_is_the_dense_formula(scheme, name, h, request, monkeypatch
     if scheme == "mp-ggl":
         y = np.concatenate([y, rng.standard_normal(sys.m)])
         size += sys.m
-    blocks = sys._dense_blocks if scheme == "mp" else sys._augmented_blocks
+    blocks = sys._newton_blocks if scheme == "mp" else sys._augmented_blocks
     calls, fill = [], blocks.fill
 
     def recording(*args):
@@ -206,7 +206,7 @@ def test_block_update_matches_full_newton_step():
     the Newton step of the full (2n + m) midpoint system."""
     rng = np.random.default_rng(SEED)
     sys, state = _chain_state(8, rng, ("spherical",))
-    assert sys._newton_blocks is not None
+    assert isinstance(sys._newton_blocks, _JointSchur)
     h = 0.01
     y = _random_iterate(sys, state, h, rng)
     r, update = midpoint_linearization(sys, state, y, h)
@@ -220,11 +220,12 @@ def test_block_path_run_matches_dense_run(monkeypatch):
     iterations and stays within BLOCK_RTOL of its trajectory."""
     rng = np.random.default_rng(SEED)
     sys, q = _pendulum_chain_config(8, rng, ("spherical",))
-    assert sys._newton_blocks is not None
+    assert isinstance(sys._newton_blocks, _JointSchur)
     state = SystemState(0.0, q, np.zeros(sys.n), np.zeros(sys.m))
     config = integrate.IntegratorConfig(h=0.01, t_end=0.2)
     blocks = integrate.simulate(sys, state, config)
-    monkeypatch.setattr(sys, "_newton_blocks", None)
+    monkeypatch.setattr(sys, "_newton_blocks",
+                        _GroupBlocks(sys, np.arange(sys.n)[None], np.arange(sys.m)[None]))
     dense = integrate.simulate(sys, state, config)
     assert blocks.completed and dense.completed and dense.rows == 21
     npt.assert_array_equal(blocks.newton_iters, dense.newton_iters)
@@ -239,25 +240,25 @@ def test_groups_and_path_choice(flying_pair, slider_crank, closed_loop):
     the mixed chain, whose groups end at its spherical pairs."""
     rng = np.random.default_rng(SEED)
     for sys, _ in (flying_pair, slider_crank, closed_loop):
-        assert sys._newton_blocks is None
+        assert not isinstance(sys._newton_blocks, _JointSchur)
     for bodies in (2, 3, 4):
-        assert _spherical_chain(bodies, rng)._newton_blocks is None
+        assert not isinstance(_spherical_chain(bodies, rng)._newton_blocks, _JointSchur)
     for bodies in (5, 8, 24):
         sys = _spherical_chain(bodies, rng)
-        assert _group_sizes(sys._newton_blocks) == [(bodies, 18)]
+        assert _group_sizes(sys._newton_blocks.blocks) == [(bodies, 18)]
 
     sys = _revolute_chain(24, rng)
     assert _group_sizes(_newton_groups(sys)) == [(1, 24 * 18)]
-    assert sys._newton_blocks is None
+    assert not isinstance(sys._newton_blocks, _JointSchur)
 
     sys = _pendulum_chain(24, rng)
-    assert _group_sizes(sys._newton_blocks) == [(1, 4 * 18), (4, 5 * 18)]
-    vel, mult = sys._newton_blocks[1].vel, sys._newton_blocks[1].mult
+    assert _group_sizes(sys._newton_blocks.blocks) == [(1, 4 * 18), (4, 5 * 18)]
+    vel, mult = sys._newton_blocks.blocks[1].vel, sys._newton_blocks.blocks[1].mult
     npt.assert_array_equal(vel[1], np.arange(5 * 12, 10 * 12))
     npt.assert_array_equal(mult[1], np.arange(5 * 6, 10 * 6))
 
 
-SOLVER_MAPS = {"_newton_blocks", "_dense_blocks", "_augmented_blocks"}
+SOLVER_MAPS = {"_newton_blocks", "_augmented_blocks"}
 
 
 @pytest.mark.parametrize("scheme", ["mp", "mp-ggl"])
@@ -275,20 +276,26 @@ def test_solver_maps_are_built_on_first_step(scheme, monkeypatch):
     assert not SOLVER_MAPS & vars(sys).keys()
     assert grouped == []
     integrate.step(sys, state, integrate.IntegratorConfig(h=0.01, t_end=0.01, scheme=scheme))
-    assert "_newton_blocks" in vars(sys) and sys._newton_blocks is None
+    assert "_newton_blocks" in vars(sys)
+    assert not isinstance(sys._newton_blocks, _JointSchur)
     assert grouped == [sys]
 
 
 @pytest.mark.parametrize("scenario", ["slider_crank", "closed_loop"])
 def test_losing_count_builds_no_blocks(scenario, monkeypatch):
     """Where the groups' count loses to the dense LU before its joint rows
-    are priced, the path is decided without building the groups' blocks."""
+    are priced, the path is decided without building the groups' blocks:
+    the only _GroupBlocks built is the one group of every unknown."""
     built = []
     monkeypatch.setattr(assembly, "_GroupBlocks",
                         lambda *args: built.append(args) or _GroupBlocks(*args))
     sys, _ = build_system(load_scenario(scenario))
     assert sum(len(vel) for vel, _ in _newton_groups(sys)) > 1
-    assert sys._newton_blocks is None and built == []
+    assert not isinstance(sys._newton_blocks, _JointSchur)
+    [(built_sys, vel, mult)] = built
+    assert built_sys is sys
+    npt.assert_array_equal(vel, np.arange(sys.n)[None])
+    npt.assert_array_equal(mult, np.arange(sys.m)[None])
 
 
 def test_jointless_bodies_take_blocks_with_empty_schur_system():
@@ -297,7 +304,7 @@ def test_jointless_bodies_take_blocks_with_empty_schur_system():
     rng = np.random.default_rng(SEED)
     sys, state = _free_bodies(8, rng)
     assert sys.m == sys.m_internal
-    assert _group_sizes(sys._newton_blocks) == [(8, 18)]
+    assert _group_sizes(sys._newton_blocks.blocks) == [(8, 18)]
     h = 0.01
     y = _random_iterate(sys, state, h, rng)
     r, update = midpoint_linearization(sys, state, y, h)
@@ -310,7 +317,7 @@ def test_singular_group_block_is_reported():
     orthonormality Jacobian, so its saddle block is singular."""
     rng = np.random.default_rng(SEED)
     sys, state = _free_bodies(8, rng)
-    assert sys._newton_blocks is not None
+    assert isinstance(sys._newton_blocks, _JointSchur)
     q, v = state.q.copy(), state.v.copy()
     q[3 * 12 + 3:4 * 12] = 0.0
     v[3 * 12 + 3:4 * 12] = 0.0
@@ -320,6 +327,22 @@ def test_singular_group_block_is_reported():
                           np.concatenate([q + h * v, v, state.lam]))
     assert not result.converged
     assert result.message == "singular Newton matrix"
+
+
+def test_singular_start_of_the_augmented_corrector_is_reported():
+    """On the same singular body the augmented scheme's plain-midpoint start
+    falls back to the guess, and its own corrector reports the singular
+    matrix after 0 iterations."""
+    rng = np.random.default_rng(SEED)
+    sys, state = _free_bodies(8, rng)
+    q, v = state.q.copy(), state.v.copy()
+    q[3 * 12 + 3:4 * 12] = 0.0
+    v[3 * 12 + 3:4 * 12] = 0.0
+    state = SystemState(0.0, q, v, state.lam, np.zeros(sys.m))
+    config = integrate.IntegratorConfig(h=0.01, t_end=0.01, scheme="mp-ggl")
+    with pytest.raises(integrate.IntegrationError, match="singular Newton matrix") as err:
+        integrate.step(sys, state, config)
+    assert err.value.iterations == 0
 
 
 def test_loaded_block_update_matches_full_newton_step():
@@ -333,7 +356,7 @@ def test_loaded_block_update_matches_full_newton_step():
              BodyLoad(4, lambda t: np.array([-0.6, 0.1, 0.2, -0.2, 0.05, 0.3]) * np.cos(t),
                       np.array([-0.1, 0.02, -0.15]))]
     sys = MultibodySystem(chain.bodies, chain.joints, loads)
-    assert sys._newton_blocks is not None
+    assert isinstance(sys._newton_blocks, _JointSchur)
     state = SystemState(0.3, q, 0.1 * rng.standard_normal(sys.n), np.zeros(sys.m))
     h = 0.01
     y = _random_iterate(sys, state, h, rng)
@@ -362,7 +385,7 @@ def _traced_peak(fn):
 def test_block_update_and_consistency_allocate_no_dense_matrix():
     rng = np.random.default_rng(SEED)
     sys, state = _chain_state(24, rng, ("spherical",))
-    assert sys._newton_blocks is not None
+    assert isinstance(sys._newton_blocks, _JointSchur)
     h = 0.01
     y = _random_iterate(sys, state, h, rng)
     assert sys.n == 288 and sys.m == 218

@@ -159,13 +159,14 @@ def test_build_system_rejects_inconsistent_initial_state(perturb, message):
 
 
 def test_build_system_rejects_nan_initial_state():
-    """A configuration built without parsing: the NaN row is the worst."""
+    """A configuration built without parsing: the pair that body 1's NaN
+    position enters rejects it when it compiles."""
     config = load_scenario("flying_pair")
     body = config.bodies[1]
     position = (float("nan"),) + body.initial_position[1:]
     bodies = (config.bodies[0], dataclasses.replace(body, initial_position=position))
-    with pytest.raises(ScenarioError, match=r"^joint 0 \(cylindrical\): row 1 of the pair "
-                                            r"violated by nan"):
+    with pytest.raises(ScenarioError, match=r"^joint 0 \(cylindrical\): body 1: configuration "
+                                            r"must be finite"):
         build_system(dataclasses.replace(config, bodies=bodies))
 
 
