@@ -28,10 +28,11 @@ arrays. Every later evaluation is a fixed sparse contraction:
 
 The sparsity of G, D and K is therefore fixed too. The kernel computes
 only their values on two patterns built with the system (_Pattern): the
-entries (i, a) of G0 and H for G and D, and the entries (a, b) of H for K,
-each with one np.bincount over H. Products such as G w and G^T lambda work
-on those values, and g(q) and G(q) x of many rows at once take the same
-bincounts over all rows (_constraint_values); stack_constraints,
+entries (i, a) of G0 and H for G and D, and for K the entries (a, b) of H
+and of every load's director block (below), each with one np.bincount
+over H. Products such as G w and G^T lambda work on those values, and
+g(q) and G(q) x of many rows at once take the same bincounts over all
+rows (_constraint_values); stack_constraints,
 constraint_velocity_gradient and constraint_hessian_contraction scatter
 them into the dense matrices that the full Newton matrices
 (integrate.midpoint_jacobian, ggl_jacobian) need, as the operator triples
@@ -45,20 +46,22 @@ configuration slope W of f, one (9, 9) block on the body's directors, are
 both written from r and the moment c = r x F + tau, over all loads at
 once (_load_moments), but once each by input_assembly and
 _input_map_blocks: twice per loaded Newton iteration (ROADMAP.md, item 18).
+Summed onto the pattern of K (_input_map_values), W is values there too.
 
 The constants are exact: every row is a dot-product row of a table, the
 pairs' (phmbd.joints) and the six orthonormality rows of each body
 (_ORTHONORMALITY) alike, and g0, G0 and H are written from the tables
 directly (_constant_tensors), with zeros wherever the tables have them.
 Each reduced Newton matrix is filled and solved by one map kept with the
-system. The first mp Newton update groups the bodies that H couples
-(_newton_groups) and decides once, by an operation count on their shapes
-(_blocks_pay), whether the mp map eliminates those groups one by one
-(_JointSchur, the block path) or solves one dense system. One map places
-the pattern values and the loads' blocks in either (_GroupBlocks): per
-group size for the former; for the dense matrix it is the one group of
-every velocity and multiplier, and the mp-ggl matrix adds its gamma blocks
-to that group at size n + 2m (_AugmentedBlocks). Both maps are built on
+system, which takes its velocity block as one vector K - W. The first mp
+Newton update groups the bodies that H couples (_newton_groups) and
+decides once, by an operation count on their shapes (_blocks_pay),
+whether the mp map eliminates those groups one by one (_JointSchur, the
+block path) or solves one dense system. One map places the pattern values
+in either (_GroupBlocks): per group size for the former; for the dense
+matrix it is the one group of every velocity and multiplier, and the
+mp-ggl matrix adds its gamma blocks to that group at size n + 2m
+(_AugmentedBlocks). Both maps are built on
 first use, so a system that is never stepped holds only its constants.
 """
 from __future__ import annotations
@@ -144,6 +147,8 @@ class MultibodySystem:
 
     def __init__(self, bodies, joints=(), loads=()):
         bodies = tuple(bodies)
+        if not bodies:
+            raise ValueError("a system needs at least one body")
         indices = [b.index for b in bodies]
         if sorted(indices) != list(range(len(bodies))):
             raise ValueError(f"body indices must be dense from 0, got {indices}")
@@ -171,25 +176,24 @@ class MultibodySystem:
             grad[12 * k:12 * k + 3] = -body.mass * body.gravity
         self._grad_potential = grad
 
-        # the loads' bodies and arms; each load fills the 12 coordinates of
-        # its body with its force, and the slope of that force is one (9, 9)
-        # block on its body's director coordinates (_input_map_blocks),
-        # whose entries sit at (_load_rows, _load_cols)
-        self._load_bodies = np.array([load.body for load in self.loads], dtype=int)
+        # each load fills its body's 12 coordinates with its force, whose
+        # slope is one (9, 9) block on the body's directors (_input_map_blocks)
         self._load_arms = np.array([load.r_material for load in self.loads],
                                    dtype=float).reshape(-1, 3)
-        self._load_coords = 12 * self._load_bodies[:, None] + np.arange(12)
-        self._load_directors = self._load_coords[:, 3:].copy()
-        self._load_rows = np.repeat(self._load_directors, 9, axis=1).ravel()
-        self._load_cols = np.tile(self._load_directors, 9).ravel()
+        self._load_coords = 12 * np.array([load.body for load in self.loads],
+                                          dtype=int)[:, None] + np.arange(12)
+        self._load_directors = directors = self._load_coords[:, 3:].copy()
+        load_flat = (directors[:, :, None] * self.n + directors[:, None]).ravel()
 
         self._g0, (G0_rows, G0_cols, G0), (rows, a, b, self._H_values) = _constant_tensors(self)
         self._H_rows, self._H_b = rows, b
         # G and D live on the entries of G0 and of H's (i, a), K on H's
-        # (a, b); the inverses give the bin of each entry in its pattern
+        # (a, b) and the loads' blocks, so that K - W is one vector; the
+        # inverses give the bin of each entry in its pattern
         G_flat, G_bins = np.unique(np.concatenate([G0_rows * self.n + G0_cols,
                                                    rows * self.n + a]), return_inverse=True)
-        K_flat, self._H_in_K = np.unique(a * self.n + b, return_inverse=True)
+        K_flat, K_bins = np.unique(np.concatenate([a * self.n + b, load_flat]), return_inverse=True)
+        self._H_in_K, self._W_in_K = np.split(K_bins, [a.size])
         self._G_pattern = _Pattern((self.m, self.n), G_flat)
         self._K_pattern = _Pattern((self.n, self.n), K_flat)
         self._G0_values = np.zeros(G_flat.size)
@@ -372,18 +376,17 @@ class _GroupBlocks:
     R_g = [[B_g, b_v], [0, b_m]], whose last column the solve writes with
     the group's entries of the right-hand side b; B is a view of R.
 
-    No entry of K, W or an orthonormality row couples two groups. K - W and
-    M are summed on one union pattern with the diagonal: KW_bins sends the
-    entries KW_entries of K stacked over the loads' blocks to their bins,
-    diag_bins the diagonal, and KW_at places the bins; G_in goes to GT_at
-    and Gs_at, G_out to B_at (in R) and C_at. A selection of a whole
-    pattern is a full slice. schur_at places C_g A_g^-1 R_g in one vector
-    that holds the (mj, mj) Schur matrix, then its mj right-hand side
-    entries, then one bin for the padding. columns[g] indexes each column
-    of R_g into (x_j, a padded slot, b's column), so it is mj for a padded
-    slot and mj + 1 for b's column. fill overwrites the buffers A, B and
-    C, kept with the system, so one system is stepped by one thread at a
-    time; B and C are zero outside their maps, and R below B.
+    No entry of K - W or an orthonormality row couples two groups. The
+    entries K_in of K - W, on the pattern of K, go to K_at and M to the
+    diagonal at diag_at; G_in goes to GT_at and Gs_at, G_out to B_at (in
+    R) and C_at. A selection of a whole pattern is a full slice. schur_at
+    places C_g A_g^-1 R_g in one vector that holds the (mj, mj) Schur
+    matrix, then its mj right-hand side entries, then one bin for the
+    padding. columns[g] indexes each column of R_g into (x_j, a padded
+    slot, b's column), so it is mj for a padded slot and mj + 1 for b's
+    column. fill overwrites the buffers A, B and C, kept with the system,
+    so one system is stepped by one thread at a time; B and C are zero
+    outside their maps, and R below B.
     """
 
     def __init__(self, sys, vel, mult, size=None):
@@ -403,15 +406,11 @@ class _GroupBlocks:
         inside = row_local >= 0
 
         Kp, Gp = sys._K_pattern, sys._G_pattern
-        rows = np.concatenate([Kp.row, sys._load_rows])
-        cols = np.concatenate([Kp.col, sys._load_cols])
-        KW = np.flatnonzero(group[rows] >= 0)
-        a = np.concatenate([rows[KW], vel.ravel()])
-        b = np.concatenate([cols[KW], vel.ravel()])
-        self.KW_at, bins = np.unique((group[a] * s + local[a]) * s + local[b],
-                                     return_inverse=True)
-        self.KW_bins, self.diag_bins = np.split(bins, [KW.size])
-        self.KW_entries = KW if KW.size < rows.size else slice(None)
+        K_in = np.flatnonzero(group[Kp.row] >= 0)
+        a, b = Kp.row[K_in], Kp.col[K_in]
+        self.K_at = (group[a] * s + local[a]) * s + local[b]
+        self.K_in = K_in if K_in.size < Kp.flat.size else slice(None)
+        self.diag_at = (group[vel] * s * s + local[vel] * (s + 1)).ravel()
 
         G_in = np.flatnonzero(inside[Gp.row] & (group[Gp.col] >= 0))
         a, r = Gp.col[G_in], Gp.row[G_in]
@@ -437,28 +436,24 @@ class _GroupBlocks:
         self.B = self.R[:, :nv, :wj]
         self.C = np.zeros((k, wj, nv))
 
-    def fill(self, h, K, W, G, Gs):
-        """Overwrite A and the mapped entries of B and C for K = K(lambda),
-        the loads' director blocks W (None without loads), G = G(q_mid) and
-        Gs = G(q_mid + h w / 2), each on its pattern
-        (integrate.midpoint_linearization)."""
-        KW = K if W is None else np.concatenate([K, -W.ravel()])
-        KW = np.bincount(self.KW_bins, KW[self.KW_entries], minlength=self.KW_at.size)
-        KW *= 0.25 * h * h
-        KW[self.diag_bins] += self.mass
+    def fill(self, h, K, G, Gs):
+        """Overwrite A and the mapped entries of B and C for K = K(lambda) - W
+        on the pattern of K, and G = G(q_mid) and Gs = G(q_mid + h w / 2) on
+        the pattern of G (integrate.midpoint_linearization)."""
         self.A.fill(0.0)
         flat = self.A.ravel()
-        flat[self.KW_at] = KW
+        flat[self.K_at] = (0.25 * h * h) * K[self.K_in]
+        flat[self.diag_at] += self.mass
         flat[self.GT_at] = h * G[self.G_in]
         flat[self.Gs_at] = (0.5 * h) * Gs[self.G_in]
         if self.B.size:
             self.R.ravel()[self.B_at] = h * G[self.G_out]
             self.C.ravel()[self.C_at] = (0.5 * h) * Gs[self.G_out]
 
-    def solve(self, h, K, W, G, Gs, b, *gamma):
+    def solve(self, h, K, G, Gs, b, *gamma):
         """fill, then solve A[0] x = b by one LU (np.linalg.LinAlgError when
         singular): the matrix of the one group of every unknown."""
-        self.fill(h, K, W, G, Gs, *gamma)
+        self.fill(h, K, G, Gs, *gamma)
         return np.linalg.solve(self.A[0], b)
 
 
@@ -470,7 +465,7 @@ class _JointSchur:
     one dense LU of size n + m (_blocks_pay): larger systems of small
     groups, such as spherical chains of five bodies or more. blocks are the
     _GroupBlocks of the Newton groups, one per group size (_newton_groups).
-    No entry of K, W or an orthonormality row couples two groups, so
+    No entry of K - W or an orthonormality row couples two groups, so
     ordering each group's velocities and orthonormality multipliers together
     makes the matrix
 
@@ -478,8 +473,8 @@ class _JointSchur:
         [C  0]    B = h G_out^T and C = (h/2) Gs_out on the joint rows
 
     with B and C nonzero only in velocity rows and columns. The pattern
-    values and the loads' blocks go straight into each group size's
-    buffers (_GroupBlocks.fill), with no (n, n), (m, n) or (n, mj) array.
+    values go straight into each group size's buffers (_GroupBlocks.fill),
+    with no (n, n), (m, n) or (n, mj) array.
     Each size of group takes one batched solve X_g = A_g^-1 [B_g, b_g] of
     its saddle blocks against the wj + 1 columns of R_g, which pivots
     across the velocity and multiplier rows: eliminating the velocity block
@@ -496,8 +491,8 @@ class _JointSchur:
         self.blocks, self.n, self.mi = blocks, sys.n, sys.m_internal
         self.mj = sys.m - sys.m_internal
 
-    def solve(self, h, K, W, G, Gs, b):
-        """Solve A x = b for the reduced matrix A of K, W, G and Gs (the
+    def solve(self, h, K, G, Gs, b):
+        """Solve A x = b for the reduced matrix A of K, G and Gs (the
         arguments of _GroupBlocks.fill). Raises np.linalg.LinAlgError when
         a saddle block or the Schur system is singular."""
         n, mi, mj = self.n, self.mi, self.mj
@@ -505,7 +500,7 @@ class _JointSchur:
         S = np.zeros(mj * mj + mj + 1)
         parts = []
         for blk in self.blocks:
-            blk.fill(h, K, W, G, Gs)
+            blk.fill(h, K, G, Gs)
             blk.R[:, :, -1] = b[blk.idx]
             X = np.linalg.solve(blk.A, blk.R)
             S += np.bincount(blk.schur_at.ravel(), (blk.C @ X[:, :blk.nv]).ravel(),
@@ -535,8 +530,9 @@ class _AugmentedBlocks(_GroupBlocks):
 
         Q = [(h/2) Kg; Gs] M^-1 [(h/2) Kg, 2 G^T],    Kg = K(gamma),
 
-    of matrices on the patterns of K and G. An entry of Q is a sum over the
-    column pairs the two factors share, so with left = [(h/2) Kg; Gs] and
+    of matrices on the patterns of K and G (Kg, without loads, is zero on
+    the loads' entries). An entry of Q is a sum over the column pairs the
+    two factors share, so with left = [(h/2) Kg; Gs] and
     right = [(h/2) Kg; 2 G] as stacked pattern values, Q's values are
 
         bincount(Q_bins, left[Q_left] * right[Q_right] * Q_weight),
@@ -571,10 +567,10 @@ class _AugmentedBlocks(_GroupBlocks):
         return np.bincount(self.Q_bins, left[self.Q_left] * right[self.Q_right] * self.Q_weight,
                            minlength=self.Q_at.size)
 
-    def fill(self, h, K, W, G, Gs, Q, Gg, DG):
+    def fill(self, h, K, G, Gs, Q, Gg, DG):
         """_GroupBlocks.fill, then place the gamma blocks Gg and DG on the
         pattern of G and subtract Q's values."""
-        super().fill(h, K, W, G, Gs)
+        super().fill(h, K, G, Gs)
         flat = self.A.ravel()
         flat[self.DG_at] = DG
         flat[self.Gg_at] = Gg
@@ -816,9 +812,9 @@ def _hats(a):
 
 def _input_map_blocks(sys, q, t):
     """Configuration derivative of each load's generalized force, shape
-    (loads, 9, 9): the block on the director coordinates of its body, at
-    (sys._load_rows, sys._load_cols). The rows and columns of the center
-    of mass are zero.
+    (loads, 9, 9): the block on the director coordinates of its body
+    (sys._load_directors), rows and columns in their order. The rows and
+    columns of the center of mass are zero.
 
     The wrench map is linear in the directors through both the moment arm
     r = r_material d and the director distribution, so each block is
@@ -836,18 +832,17 @@ def _input_map_blocks(sys, q, t):
     return W
 
 
-def _load_blocks_times(sys, W, x):
-    """(sum of the loads' blocks W) x, shape (n,)."""
-    return np.bincount(sys._load_rows, W.ravel() * x[sys._load_cols], minlength=sys.n)
+def _input_map_values(sys, q, t):
+    """The loads' slope W on the pattern of K: the sum of their director
+    blocks (_input_map_blocks), loads on one body summed in load order."""
+    return np.bincount(sys._W_in_K, _input_map_blocks(sys, q, t).ravel(),
+                       minlength=sys._K_pattern.flat.size)
 
 
 def input_map_jacobian(sys, q, t):
     """Configuration derivative of input_assembly, shape (n, n): the dense
-    scatter of the loads' director blocks (_input_map_blocks)."""
-    n = sys.n
-    W = _input_map_blocks(sys, q, t)
-    return np.bincount(sys._load_rows * n + sys._load_cols, W.ravel(),
-                       minlength=n * n).reshape(n, n)
+    scatter of the loads' slope on the pattern of K (_input_map_values)."""
+    return sys._K_pattern.dense(_input_map_values(sys, q, t))
 
 
 def consistency(sys, q, v):

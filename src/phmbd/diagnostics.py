@@ -92,9 +92,11 @@ def conservation_report(traj, sys):
                              power_defect=defect)
 
 
-def _align(traj, t_bar, tol):
+def _align(traj, t_bar):
+    # a sample time up to the rounding of simulate's summed step times, at
+    # the slack that IntegratorConfig allows for t_end / h
     idx = int(np.argmin(np.abs(traj.t - t_bar)))
-    if abs(traj.t[idx] - t_bar) > tol:
+    if abs(traj.t[idx] - t_bar) > 1e-9 * max(1.0, abs(t_bar)):
         raise ValueError(
             f"t = {t_bar} is not on the trajectory grid "
             f"(nearest sample at {traj.t[idx]})")
@@ -110,9 +112,8 @@ def rms_error(traj, ref_traj, t_bar):
     ending at t_bar (multipliers are step quantities, not state
     quantities). H and L differences are absolute.
     """
-    tol = 0.5 * min(traj.h, ref_traj.h)
-    i = _align(traj, t_bar, tol)
-    j = _align(ref_traj, t_bar, tol)
+    i = _align(traj, t_bar)
+    j = _align(ref_traj, t_bar)
 
     def rms(a, b):
         diff = np.atleast_1d(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))

@@ -24,9 +24,9 @@ D(v) = H v of G(q) v, and the contraction K(lambda) = sum_i lambda_i H_i
 of the sparse constant Hessian H. Each is evaluated as its values on a
 sparsity pattern fixed at assembly; the residuals' products G w and
 G^T lambda use those values directly, and so do the Newton updates. The
-applied loads enter as their force f = B(q) u and its slope W, one block
-per load, each from its own pass over all loads at the same midpoint
-(assembly.input_assembly, assembly._input_map_blocks).
+applied loads enter as their force f = B(q) u and its slope W, values on
+the pattern of K, each from its own pass over all loads at the same
+midpoint (assembly.input_assembly, assembly._input_map_values).
 
 The position rows q1 - q0 - h w are linear in q1 with a constant
 coefficient of v1 and the mass matrix is constant and diagonal, so each
@@ -38,8 +38,8 @@ solves a system of size n + 2m in (2 dw, lambda_mid, gamma_mid) instead of
 2n + 2m, whose gamma = 0 block is the plain scheme's system. Each
 reduced system is filled and solved by a map kept with the system
 (MultibodySystem._newton_blocks for the plain scheme, _augmented_blocks
-for the augmented one), which places the pattern values and the load
-blocks straight into the matrix, with no dense K, W or G in between. The
+for the augmented one), which places the pattern values, K - W as one
+vector, straight into the matrix, with no dense K, W or G in between. The
 augmented system takes one dense LU. The plain system is a saddle block
 per group of bodies the constraint Hessians couple, tied together only by
 the joint multipliers; it is solved group by group where an operation
@@ -69,9 +69,8 @@ import numpy as np
 from .assembly import (
     SystemState,
     _contraction_values,
-    _input_map_blocks,
+    _input_map_values,
     _jacobian_values,
-    _load_blocks_times,
     _slope_values,
     constraint_hessian_contraction,
     constraint_velocity_gradient,
@@ -233,19 +232,20 @@ def midpoint_linearization(sys, state, y, h):
     update is built only when called. It raises np.linalg.LinAlgError when
     the reduced matrix is singular.
 
-    K, D and G enter as their values on the patterns fixed at assembly
-    and W as one (9, 9) block per load on its body's directors; the
+    K, W, D and G enter as their values on the patterns fixed at assembly,
+    W on K's, which holds every load's (9, 9) director block; the
     right-hand sides and the back substitution take their products from
-    those values. The reduced matrix is filled and solved by one call to
-    the system's map, into buffers kept with the system and overwritten on
-    every call, so one system is stepped by one thread at a time: the plain
-    scheme's MultibodySystem._newton_blocks, chosen once per system on its
-    first mp Newton update (which mp-ggl takes too, through
-    _midpoint_start), solves it by one dense LU (assembly._GroupBlocks) or
-    group by group (assembly._JointSchur); the augmented scheme's
-    _augmented_blocks by one dense LU at size n + 2m, with the M^-1
-    products of K(gamma) and G summed over the column pairs of their fixed
-    patterns (assembly._AugmentedBlocks), with no dense product.
+    those values. The reduced matrix is filled from K - W, G and Gs and
+    solved by one call to the system's map, into buffers kept with the
+    system and overwritten on every call, so one system is stepped by one
+    thread at a time: the plain scheme's MultibodySystem._newton_blocks,
+    chosen once per system on its first mp Newton update (which mp-ggl
+    takes too, through _midpoint_start), solves it by one dense LU
+    (assembly._GroupBlocks) or group by group (assembly._JointSchur); the
+    augmented scheme's _augmented_blocks by one dense LU at size n + 2m,
+    with the M^-1 products of K(gamma) and G summed over the column pairs
+    of their fixed patterns (assembly._AugmentedBlocks), with no dense
+    product.
     """
     n, m = sys.n, sys.m
     lam = y[2 * n:2 * n + m]
@@ -259,10 +259,10 @@ def midpoint_linearization(sys, state, y, h):
         Gp, Kp = sys._G_pattern, sys._K_pattern
         K = _contraction_values(sys, lam)
         KWr = Kp.times(K, r_q)
-        W = None
         if sys.loads:
-            W = _input_map_blocks(sys, qm, tm)
-            KWr -= _load_blocks_times(sys, W, r_q)
+            W = _input_map_values(sys, qm, tm)
+            KWr -= Kp.times(W, r_q)
+            K = K - W
         # D is linear in v, so this is (h/2) D(w)
         hD = _slope_values(sys, (0.5 * h) * w)
         b = [(0.5 * h) * KWr - r_v, Gp.times(hD, r_q) - r_l]
@@ -282,7 +282,7 @@ def midpoint_linearization(sys, state, y, h):
                                                np.concatenate([hKg, 2.0 * G]))
             gamma = (Q, Gs + (0.5 * h) * (D + hDp), h * D - 2.0 * G)
         blocks = sys._newton_blocks if D is None else sys._augmented_blocks
-        x = blocks.solve(h, K, W, G, Gs, np.concatenate(b), *gamma)
+        x = blocks.solve(h, K, G, Gs, np.concatenate(b), *gamma)
         u = x[:n]
         dq = (0.5 * h) * u - r_q
         if D is None:

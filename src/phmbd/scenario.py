@@ -372,10 +372,13 @@ def dependent_velocities(system, q, v, bodies):
     zero in the free columns and do not change the solution. Returns the
     full velocity vector. Raises ScenarioError naming the bodies and the
     rank when G(q)[:, free] lacks full column rank, that is when the
-    constraints leave some velocity of `bodies` undetermined.
+    constraints leave some velocity of `bodies` undetermined, and naming
+    an index of `bodies` that is not a body of the system.
     """
     free = np.zeros(system.n, dtype=bool)
     for k in bodies:
+        if not 0 <= k < len(system.bodies):
+            raise ScenarioError(f"body {k} is not one of the system's {len(system.bodies)} bodies")
         free[12 * k:12 * k + 12] = True
     G = system._G_pattern.dense(_jacobian_values(system, q))
     v = np.array(v, dtype=float)

@@ -165,11 +165,12 @@ def loop_supplied_energy(sys, traj):
 def reduced_matrix(sys, h, K, W, G, Gs, gamma=None):
     """The reduced Newton matrix of midpoint_linearization from dense blocks.
 
-    Takes the arguments of phmbd.assembly._GroupBlocks.fill: K on the
-    pattern of K, the loads' (9, 9) director blocks W (None without loads)
-    and G and Gs on the pattern of G; for the augmented scheme, gamma holds
-    the further arguments (Q, Gg, DG) of _AugmentedBlocks.fill. It scatters
-    K, G and Gs into dense arrays, subtracts each W block in load order,
+    Takes K = K(lambda) on the pattern of K, the loads' (9, 9) director
+    blocks W (None without loads), where phmbd.assembly._GroupBlocks.fill
+    takes K - W as one vector on that pattern, and G and Gs on the pattern
+    of G; for the augmented scheme, gamma holds the further arguments
+    (Q, Gg, DG) of _AugmentedBlocks.fill. It scatters K, G and Gs into
+    dense arrays, subtracts each W block at its load's body in load order,
     and assembles
 
         [M + (h^2/4)(K - W)   h G^T]
@@ -182,7 +183,7 @@ def reduced_matrix(sys, h, K, W, G, Gs, gamma=None):
     n, m = sys.n, sys.m
     KW = sys._K_pattern.dense(K)
     if W is not None:
-        for body, block in zip(sys._load_bodies, W):
+        for body, block in zip((load.body for load in sys.loads), W):
             rows = slice(12 * body + 3, 12 * body + 12)
             KW[rows, rows] -= block
     G, Gs = sys._G_pattern.dense(G), sys._G_pattern.dense(Gs)

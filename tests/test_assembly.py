@@ -37,10 +37,13 @@ SKEW_TOL = 1e-14
 
 
 def test_system_rejects_bad_bodies_joints_and_loads(flying_pair):
-    """Body indices not dense from 0, an uncompiled pair, and a pair or a
-    load on a body the system does not hold are rejected at construction."""
+    """No body, body indices not dense from 0, an uncompiled pair, and a
+    pair or a load on a body the system does not hold are rejected at
+    construction."""
     sys, _ = flying_pair
     bodies, (joint,) = sys.bodies, sys.joints
+    with pytest.raises(ValueError, match="a system needs at least one body"):
+        MultibodySystem([])
     with pytest.raises(ValueError, match="dense from 0"):
         MultibodySystem([dataclasses.replace(bodies[0], index=2), bodies[1]])
     with pytest.raises(TypeError, match="compiled before assembly"):

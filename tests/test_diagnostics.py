@@ -81,13 +81,15 @@ def test_rms_error_zero_against_itself(flying_pair):
 
 
 def test_rms_error_rejects_off_grid_and_initial_time(flying_pair):
-    """t_bar must be a grid time of both runs and the end of a step: at
-    t = 0 there are no step multipliers to compare."""
+    """t_bar must be a grid time of both runs, not just near one, and the
+    end of a step: at t = 0 there are no step multipliers to compare."""
     sys, state = flying_pair
     traj = simulate(sys, state, IntegratorConfig(h=0.001, t_end=0.01))
     coarse = simulate(sys, state, IntegratorConfig(h=0.002, t_end=0.01))
     with pytest.raises(ValueError, match="t = 0.003 is not on the trajectory grid"):
         rms_error(coarse, traj, 0.003)
+    with pytest.raises(ValueError, match="t = 0.0053 is not on the trajectory grid"):
+        rms_error(traj, traj, 0.0053)
     with pytest.raises(ValueError, match="needs a step ending at t_bar"):
         rms_error(traj, traj, 0.0)
 

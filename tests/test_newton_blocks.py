@@ -26,6 +26,7 @@ from phmbd.assembly import (
     _JointSchur,
     _contraction_values,
     _input_map_blocks,
+    _input_map_values,
     _jacobian_values,
     _newton_groups,
     _slope_values,
@@ -105,13 +106,20 @@ BLOCK_CASES = [
 
 
 def _reduced_terms(sys, state, y, h):
-    """(K, W, G, Gs) of the reduced mp matrix at the iterate y."""
+    """(K, W, KW, G, Gs) of the reduced mp matrix at the iterate y: K(lambda)
+    and the loads' (9, 9) director blocks W (None without loads), as
+    reference.reduced_matrix takes them, and the velocity block KW = K - W
+    on the pattern of K, as the maps take it."""
     n = sys.n
     qm = 0.5 * (state.q + y[:n])
     vm = 0.5 * (state.v + y[n:2 * n])
     G = _jacobian_values(sys, qm)
-    W = _input_map_blocks(sys, qm, state.t + 0.5 * h) if sys.loads else None
-    return _contraction_values(sys, y[2 * n:]), W, G, G + _slope_values(sys, 0.5 * h * vm)
+    K = _contraction_values(sys, y[2 * n:2 * n + sys.m])
+    W, KW = None, K
+    if sys.loads:
+        t = state.t + 0.5 * h
+        W, KW = _input_map_blocks(sys, qm, t), K - _input_map_values(sys, qm, t)
+    return K, W, KW, G, G + _slope_values(sys, 0.5 * h * vm)
 
 
 @pytest.mark.parametrize("name, h", BLOCK_CASES)
@@ -122,9 +130,9 @@ def test_block_solve_matches_dense_solve(name, h, request):
     sys, state = _system(name, request, rng)
     y = _random_iterate(sys, state, h, rng)
     b = rng.standard_normal(sys.n + sys.m)
-    K, W, G, Gs = _reduced_terms(sys, state, y, h)
+    K, W, KW, G, Gs = _reduced_terms(sys, state, y, h)
     blocks = [_GroupBlocks(sys, vel, mult) for vel, mult in _newton_groups(sys)]
-    x = _JointSchur(sys, blocks).solve(h, K, W, G, Gs, b)
+    x = _JointSchur(sys, blocks).solve(h, KW, G, Gs, b)
     x_ref = np.linalg.solve(reduced_matrix(sys, h, K, W, G, Gs), b)
     assert np.abs(x - x_ref).max() <= BLOCK_RTOL * np.abs(x_ref).max()
 
@@ -139,9 +147,9 @@ def test_block_solve_reuses_its_buffers(name, request):
     h = 0.01
     blocks = [_GroupBlocks(sys, vel, mult) for vel, mult in _newton_groups(sys)]
     for _ in range(2):
-        K, W, G, Gs = _reduced_terms(sys, state, _random_iterate(sys, state, h, rng), h)
+        K, W, KW, G, Gs = _reduced_terms(sys, state, _random_iterate(sys, state, h, rng), h)
         b = rng.standard_normal(sys.n + sys.m)
-        x = _JointSchur(sys, blocks).solve(h, K, W, G, Gs, b)
+        x = _JointSchur(sys, blocks).solve(h, KW, G, Gs, b)
         x_ref = np.linalg.solve(reduced_matrix(sys, h, K, W, G, Gs), b)
         assert np.abs(x - x_ref).max() <= BLOCK_RTOL * np.abs(x_ref).max()
 
@@ -154,14 +162,14 @@ def test_group_blocks_are_blocks_of_the_dense_formula(name, h, request):
     rng = np.random.default_rng(SEED)
     sys, state = _system(name, request, rng)
     y = _random_iterate(sys, state, h, rng)
-    K, W, G, Gs = _reduced_terms(sys, state, y, h)
+    K, W, KW, G, Gs = _reduced_terms(sys, state, y, h)
     s = sys.n + sys.m
     # one zero row and column past the end take the padded joint slots
     A_ref = np.zeros((s + 1, s + 1))
     A_ref[:s, :s] = reduced_matrix(sys, h, K, W, G, Gs)
     for vel, mult in _newton_groups(sys):
         blk = _GroupBlocks(sys, vel, mult)
-        blk.fill(h, K, W, G, Gs)
+        blk.fill(h, KW, G, Gs)
         for g in range(len(vel)):
             joint = sys.n + sys.m_internal + blk.joint[g]
             npt.assert_array_equal(blk.A[g], A_ref[np.ix_(blk.idx[g], blk.idx[g])])
@@ -176,9 +184,10 @@ def test_group_blocks_are_blocks_of_the_dense_formula(name, h, request):
 ] + [("mp-ggl", "pendulum_chain", 0.01)])  # its mp update takes the block path
 def test_dense_matrix_is_the_dense_formula(scheme, name, h, request, monkeypatch):
     """The dense path places the pattern values straight into the reduced
-    matrix; it equals reference.reduced_matrix, which scatters dense K - W,
-    G and Gs first, bit for bit, and overwrites every stale entry of the
-    array kept with the system."""
+    matrix; it equals reference.reduced_matrix, which scatters dense K, G
+    and Gs and subtracts each load's block W at its body first, bit for
+    bit, and overwrites every stale entry of the array kept with the
+    system."""
     rng = np.random.default_rng(SEED)
     sys, state = _system(name, request, rng)
     y = _random_iterate(sys, state, h, rng)
@@ -196,8 +205,9 @@ def test_dense_matrix_is_the_dense_formula(scheme, name, h, request, monkeypatch
     monkeypatch.setattr(blocks, "fill", recording)
     blocks.A.fill(np.nan)
     midpoint_linearization(sys, state, y, h)[1]()
-    [((h_, K, W, G, Gs, *gamma), A)] = calls
+    [((h_, _, G, Gs, *gamma), A)] = calls
     assert A.shape == (size, size) and (gamma == []) == (scheme == "mp")
+    K, W, _, _, _ = _reduced_terms(sys, state, y, h)
     npt.assert_array_equal(A, reduced_matrix(sys, h_, K, W, G, Gs, tuple(gamma) or None))
 
 
@@ -346,9 +356,10 @@ def test_singular_start_of_the_augmented_corrector_is_reported():
 
 
 def test_loaded_block_update_matches_full_newton_step():
-    """Loads on two bodies of a spherical chain: their 12x12 blocks W enter
-    the group saddle blocks directly, and the update is still the Newton
-    step of the full (2n + m) midpoint system."""
+    """Loads on two bodies of a spherical chain: their (9, 9) director
+    blocks W, values on the pattern of K, enter the group saddle blocks
+    directly, and the update is still the Newton step of the full (2n + m)
+    midpoint system."""
     rng = np.random.default_rng(SEED)
     chain, q = _pendulum_chain_config(6, rng, ("spherical",))
     loads = [BodyLoad(1, lambda t: np.array([0.3, -0.2, 0.5, 0.1, 0.4, -0.3]) * (1.0 + t),

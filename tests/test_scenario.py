@@ -235,8 +235,12 @@ def test_closed_loop_load_profile(closed_loop):
 
 def test_initial_velocity_solver_reproduces_benchmark_rows(slider_crank):
     """Holding the crank, G(q0) v = 0 returns the published starting
-    velocities of the rod and the block."""
+    velocities of the rod and the block; an index that is not one of the
+    three bodies is rejected."""
     sys, state = slider_crank
+    for bad in (5, -1):
+        with pytest.raises(ScenarioError, match=f"body {bad} is not one of the system's 3"):
+            dependent_velocities(sys, state.q, state.v, (bad,))
     v = dependent_velocities(sys, state.q, state.v, (1, 2))
     npt.assert_array_equal(v[:12], state.v[:12])
     d_rod = state.q[15:24].reshape(3, 3)
