@@ -80,12 +80,13 @@ import numpy as np
 # importable from this module because perfbench/tracer.py wraps them by
 # these names.
 from .directors import (
+    _cross,
+    _dots,
     angular_momentum,
     external_wrench_map,
     hat,
     internal_constraint_gradient,
     internal_constraints,
-    mass_matrix,
 )
 from .joints import GROUND_CONFIG, CompiledJoint
 
@@ -167,14 +168,17 @@ class MultibodySystem:
         self.n = 12 * len(self.bodies)
         self.m_internal = 6 * len(self.bodies)
         self.m = self.m_internal + sum(j.count for j in self.joints)
-        self.mass_diag = np.concatenate([mass_matrix(b) for b in self.bodies])
+        # each body's mass on its position and Euler value E_i on director
+        # i (directors.mass_matrix)
+        mass = np.array([b.mass for b in self.bodies], dtype=float)
+        diag = np.column_stack([mass, [b.euler_values for b in self.bodies]])
+        self.mass_diag = np.repeat(diag, 3, axis=1).ravel()
         self.mass_diag_inv = 1.0 / self.mass_diag
 
         # gravity potential is linear, so its gradient is constant
-        grad = np.zeros(self.n)
-        for k, body in enumerate(self.bodies):
-            grad[12 * k:12 * k + 3] = -body.mass * body.gravity
-        self._grad_potential = grad
+        grad = np.zeros((len(self.bodies), 4, 3))
+        grad[:, 0] = -mass[:, None] * [b.gravity for b in self.bodies]
+        self._grad_potential = grad.ravel()
 
         # each load fills its body's 12 coordinates with its force, whose
         # slope is one (9, 9) block on the body's directors (_input_map_blocks)
@@ -193,7 +197,7 @@ class MultibodySystem:
         G_flat, G_bins = np.unique(np.concatenate([G0_rows * self.n + G0_cols,
                                                    rows * self.n + a]), return_inverse=True)
         K_flat, K_bins = np.unique(np.concatenate([a * self.n + b, load_flat]), return_inverse=True)
-        self._H_in_K, self._W_in_K = np.split(K_bins, [a.size])
+        self._H_in_K, self._W_in_K = K_bins[:a.size], K_bins[a.size:]
         self._G_pattern = _Pattern((self.m, self.n), G_flat)
         self._K_pattern = _Pattern((self.n, self.n), K_flat)
         self._G0_values = np.zeros(G_flat.size)
@@ -271,46 +275,82 @@ _ORTHONORMALITY = (
 )
 
 
+def _row_tensors(alpha, beta, u0, w0, c, cols):
+    """g0, G0 and H (_constant_tensors) of the row table (alpha, beta, u0,
+    w0, c) whose row r acts on the 24 columns cols[r], rows counted from 0.
+
+    H's entries are the nonzeros of the (rows, 8, 8) block weights S, each
+    run of one (row, p) repeated once per component k.
+    """
+    g0 = (u0 * w0).sum(axis=1) - c
+    G0 = (alpha[:, :, None] * w0[:, None] + beta[:, :, None] * u0[:, None]).reshape(-1, 24)
+    r, a = np.nonzero(G0)
+    # S is zero on a row without both factors (a gap row with w0 a unit vector)
+    live = np.flatnonzero(alpha.any(axis=1) & beta.any(axis=1))
+    alpha, beta = alpha[live], beta[live]
+    S = alpha[:, :, None] * beta[:, None] + beta[:, :, None] * alpha[:, None]
+    r2, p, p2 = np.nonzero(S)
+    # the nonzeros of one (row, p) are a run; nonzero e of a run of n from
+    # e0 goes to 3 e0 + k n + (e - e0) for each k
+    n = np.count_nonzero(S, axis=2).ravel()
+    n = n[n > 0]
+    at = (2 * np.repeat(np.cumsum(n) - n, n) + np.arange(r2.size)
+          + np.arange(3)[:, None] * np.repeat(n, n))
+    e, k = np.empty((2, 3 * r2.size), dtype=int)
+    e[at], k[at] = np.arange(r2.size), np.arange(3)[:, None]
+    i, p, p2 = r2[e], p[e], p2[e]
+    r2 = live[i]
+    return (g0, (r, cols[r, a], G0[r, a]),
+            (r2, cols[r2, 3 * p + k], cols[r2, 3 * p2 + k], S[i, p, p2]))
+
+
+# the tensors of one body's orthonormality rows, on its own 12 columns
+_BODY_TENSORS = _row_tensors(*_ORTHONORMALITY, np.tile(np.arange(12), (6, 2)))
+
+
 def _constant_tensors(sys):
     """g0 = g(0) and the nonzeros of G0 = G(0) and of the Hessians H[i, a, b].
 
     All constraints are quadratic in q, so these three constants give g, G
-    and their derivatives everywhere. They come from one row table in one
-    pass: each body's orthonormality rows (_ORTHONORMALITY), then every
-    pair's table (phmbd.joints). Row r is u . w - c with
+    and their derivatives everywhere. They come from one row table: each
+    body's orthonormality rows (_ORTHONORMALITY), then the rows of every
+    pair (phmbd.joints.compile_joints). Row r is u . w - c with
     u = sum_p alpha_p X_p + u0 and w = sum_p beta_p X_p + w0 over the
     3-blocks X_p of its two bodies (one body, twice, for the
     orthonormality rows). A ground pair's B blocks are held at GROUND_CONFIG
     and folded into u0 and w0 first. Then, at q = 0, on blocks p, p' and components k, k',
 
         g0 = u0 . w0 - c,    G0[(p, k)] = alpha_p w0_k + beta_p u0_k,
-        H[(p, k), (p', k')] = (alpha_p beta_p' + beta_p alpha_p') [k == k'],
+        H[(p, k), (p', k')] = S[p, p'] [k == k'],    S = alpha beta^T + beta alpha^T,
 
-    exact, and zero wherever the table is. G0 comes back as COO arrays
+    exact, and zero wherever the table is (_row_tensors). The
+    orthonormality rows are the same for every body, so their part is
+    computed once (_BODY_TENSORS) and moved to each body's rows and
+    columns; the pairs' rows take one pass. G0 comes back as COO arrays
     (rows, cols, values) and H as (rows, a, b, values), sorted by row, then
     by the row-local a, then b, body A before body B.
     """
     nb, joints = len(sys.bodies), sys.joints
-    tables = [_ORTHONORMALITY] * nb + [(j.alpha, j.beta, j.u0, j.w0, j.c) for j in joints]
-    alpha, beta, u0, w0, c = (np.concatenate(column) for column in zip(*tables))
-    count = [6] * nb + [j.count for j in joints]
-    ground = np.repeat([False] * nb + [j.is_ground for j in joints], count)
-    ground_blocks = GROUND_CONFIG.reshape(4, 3)
-    u0[ground] += alpha[ground, 4:] @ ground_blocks
-    w0[ground] += beta[ground, 4:] @ ground_blocks
-    alpha[ground, 4:] = beta[ground, 4:] = 0.0
-    # column of each of the 24 coordinates (q_A, q_B) of each row
-    bodies = np.repeat([(k, k) for k in range(nb)] + [(j.body_a, j.body_b) for j in joints],
-                       count, axis=0)
-    cols = (12 * bodies[:, :, None] + np.arange(12)).reshape(-1, 24)
-
-    g0 = (u0 * w0).sum(axis=1) - c
-    G0 = (alpha[:, :, None] * w0[:, None] + beta[:, :, None] * u0[:, None]).reshape(-1, 24)
-    r, a = np.nonzero(G0)
-    S = alpha[:, :, None] * beta[:, None] + beta[:, :, None] * alpha[:, None]
-    r2, p, k, p2 = np.nonzero(np.broadcast_to(S[:, :, None], (c.size, 8, 3, 8)))
-    return (g0, (r, cols[r, a], G0[r, a]),
-            (r2, cols[r2, 3 * p + k], cols[r2, 3 * p2 + k], S[r2, p, p2]))
+    row, col = 6 * np.arange(nb)[:, None], 12 * np.arange(nb)[:, None]
+    g0, (r, a, G0), (r2, a2, b2, H) = _BODY_TENSORS
+    parts = [(np.tile(g0, nb), (r + row).ravel(), (a + col).ravel(), np.tile(G0, nb),
+              (r2 + row).ravel(), (a2 + col).ravel(), (b2 + col).ravel(), np.tile(H, nb))]
+    if joints:
+        alpha, beta, u0, w0, c = (np.concatenate(column) for column in
+                                  zip(*((j.alpha, j.beta, j.u0, j.w0, j.c) for j in joints)))
+        count = [j.count for j in joints]
+        ground = np.repeat([j.is_ground for j in joints], count)
+        ground_blocks = GROUND_CONFIG.reshape(4, 3)
+        u0[ground] += alpha[ground, 4:] @ ground_blocks
+        w0[ground] += beta[ground, 4:] @ ground_blocks
+        alpha[ground, 4:] = beta[ground, 4:] = 0.0
+        # column of each of the 24 coordinates (q_A, q_B) of each row
+        bodies = np.repeat([(j.body_a, j.body_b) for j in joints], count, axis=0)
+        cols = (12 * bodies[:, :, None] + np.arange(12)).reshape(-1, 24)
+        g0, (r, a, G0), (r2, a2, b2, H) = _row_tensors(alpha, beta, u0, w0, c, cols)
+        parts.append((g0, r + 6 * nb, a, G0, r2 + 6 * nb, a2, b2, H))
+    g0, r, a, G0, r2, a2, b2, H = (np.concatenate(x) for x in zip(*parts))
+    return g0, (r, a, G0), (r2, a2, b2, H)
 
 
 def _newton_groups(sys):
@@ -530,9 +570,10 @@ class _AugmentedBlocks(_GroupBlocks):
 
         Q = [(h/2) Kg; Gs] M^-1 [(h/2) Kg, 2 G^T],    Kg = K(gamma),
 
-    of matrices on the patterns of K and G (Kg, without loads, is zero on
-    the loads' entries). An entry of Q is a sum over the column pairs the
-    two factors share, so with left = [(h/2) Kg; Gs] and
+    of matrices on the patterns of K and G. Kg, without loads, is zero on
+    the entries of K that only the loads' blocks put there, so the K factor
+    takes H's entries of K alone. An entry of Q is a sum over the column
+    pairs the two factors share, so with left = [(h/2) Kg; Gs] and
     right = [(h/2) Kg; 2 G] as stacked pattern values, Q's values are
 
         bincount(Q_bins, left[Q_left] * right[Q_right] * Q_weight),
@@ -548,15 +589,19 @@ class _AugmentedBlocks(_GroupBlocks):
         Kp, Gp = sys._K_pattern, sys._G_pattern
         self.DG_at = Gp.col * s + gam + Gp.row
         self.Gg_at = (gam + Gp.row) * s + Gp.col
-        # each factor's pattern, offset in the stacked values and offset of
-        # its rows in the matrix (K(gamma) is symmetric, so its rows serve
-        # as the columns of the right factor)
-        factors = ((Kp, 0, 0), (Gp, Kp.flat.size, gam))
+        # each factor's entries as rows, columns and places in the stacked
+        # values, and the offset of its rows in the matrix (K(gamma) is
+        # symmetric, so its rows serve as the columns of the right factor);
+        # K(gamma) has no loads, so its entries are H's alone (np.unique
+        # without an inverse would import numpy.ma, 1 MB of peak memory)
+        K_in = np.flatnonzero(np.bincount(sys._H_in_K, minlength=Kp.flat.size))
+        factors = ((Kp.row[K_in], Kp.col[K_in], K_in, 0),
+                   (Gp.row, Gp.col, Kp.flat.size + np.arange(Gp.flat.size), gam))
         parts = []
-        for (X, x_val, x_at), (Y, y_val, y_at) in product(factors, repeat=2):
-            i, j = _shared_columns(X, Y)
-            parts.append((x_val + i, y_val + j, X.col[i],
-                          (x_at + X.row[i]) * s + y_at + Y.row[j]))
+        for (x_row, x_col, x_val, x_at), (y_row, y_col, y_val, y_at) in product(factors,
+                                                                                 repeat=2):
+            i, j = _shared_columns(x_col, y_col)
+            parts.append((x_val[i], y_val[j], x_col[i], (x_at + x_row[i]) * s + y_at + y_row[j]))
         left, right, col, at = (np.concatenate(p) for p in zip(*parts))
         self.Q_left, self.Q_right = left, right
         self.Q_weight = sys.mass_diag_inv[col]
@@ -577,13 +622,13 @@ class _AugmentedBlocks(_GroupBlocks):
         flat[self.Q_at] -= Q
 
 
-def _shared_columns(X, Y):
-    """Every pair (i, j) of an entry i of pattern X and an entry j of
-    pattern Y in the same column."""
-    order = np.argsort(Y.col, kind="stable")
-    start = np.searchsorted(Y.col[order], X.col, "left")
-    count = np.searchsorted(Y.col[order], X.col, "right") - start
-    i = np.repeat(np.arange(X.col.size), count)
+def _shared_columns(x_col, y_col):
+    """Every pair (i, j) of an entry i of columns x_col and an entry j of
+    columns y_col in the same column."""
+    order = np.argsort(y_col, kind="stable")
+    start = np.searchsorted(y_col[order], x_col, "left")
+    count = np.searchsorted(y_col[order], x_col, "right") - start
+    i = np.repeat(np.arange(x_col.size), count)
     # position of each pair within its entry i's run of matches
     k = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
     return i, order[start[i] + k]
@@ -727,28 +772,11 @@ def potential(sys, q):
     return float(grad @ np.asarray(q, dtype=float)), grad
 
 
-def _dots(a, b):
-    """a . b over the last axis, row by row, each as the 1-D a @ b rounds
-    it (a stack of (1, n) @ (n, 1) products)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def hamiltonian(sys, q, v):
     """Total energy H = kinetic + potential, one per row of q and v (shape
     (..., n))."""
     q, v = np.asarray(q, dtype=float), np.asarray(v, dtype=float)
     return 0.5 * _dots(v, sys.mass_diag * v) + _dots(q, sys._grad_potential)
-
-
-# component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1], indices mod 3:
-# the first three columns of a[_AB] * b[_BA] minus the last three
-_AB, _BA = [1, 2, 0, 2, 0, 1], [2, 0, 1, 1, 2, 0]
-
-
-def _cross(a, b):
-    """a x b over the last axis, written out as np.cross evaluates it."""
-    ab = a.take(_AB, axis=-1) * b.take(_BA, axis=-1)
-    return ab[..., :3] - ab[..., 3:]
 
 
 def total_angular_momentum(sys, q, v):

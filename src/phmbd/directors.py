@@ -45,12 +45,10 @@ def euler_values(inertias):
     J = np.asarray(inertias, dtype=float)
     if J.shape != (3,):
         raise ValueError(f"expected 3 principal inertias, got shape {J.shape}")
-    E = np.array([
-        0.5 * (J[1] + J[2] - J[0]),
-        0.5 * (J[2] + J[0] - J[1]),
-        0.5 * (J[0] + J[1] - J[2]),
-    ])
-    if not np.all(E > 0.0):  # NaN included
+    # Python floats round as float64 scalars do, at a fraction of the cost
+    j1, j2, j3 = J.tolist()
+    E = np.array([0.5 * (j2 + j3 - j1), 0.5 * (j3 + j1 - j2), 0.5 * (j1 + j2 - j3)])
+    if not (E > 0.0).all():  # NaN included
         raise ValueError(
             f"inertias {J.tolist()} violate the triangle inequality; "
             f"Euler values {E.tolist()} must all be positive"
@@ -91,6 +89,23 @@ def split_config(q):
     """Split a 12-vector into (phi, directors) with directors as rows."""
     q = np.asarray(q, dtype=float)
     return q[:3], q[3:].reshape(3, 3)
+
+
+def _dots(a, b):
+    """a . b over the last axis, row by row, each as the 1-D a @ b rounds
+    it (a stack of (1, n) @ (n, 1) products)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+# component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1], indices mod 3:
+# the first three columns of a[_AB] * b[_BA] minus the last three
+_AB, _BA = [1, 2, 0, 2, 0, 1], [2, 0, 1, 1, 2, 0]
+
+
+def _cross(a, b):
+    """a x b over the last axis, written out as np.cross evaluates it."""
+    ab = a.take(_AB, axis=-1) * b.take(_BA, axis=-1)
+    return ab[..., :3] - ab[..., 3:]
 
 
 def mass_matrix(body):

@@ -7,8 +7,10 @@ resolved against the directories in the MBD_SCENARIO_PATH environment
 variable first, then against the bundled files, and an explicit file path
 always wins.
 
-parse_scenario checks the document; build_system checks the initial state,
-from the exact g(q) that assembly.consistency reports too.
+parse_scenario checks the document; build_system builds the system in one
+pass over its bodies and pairs (joints.compile_joints checks each body
+once and compiles every pair into one row table) and checks the initial
+state, from the exact g(q) that assembly.consistency reports too.
 dependent_velocities solves some bodies' velocities from the same system's
 exact G(q) v = 0, holding the others; `phmbd init-velocities` uses it to
 derive the slider-crank's rod and block velocities from its crank's.
@@ -25,7 +27,7 @@ import numpy as np
 from .assembly import (BodyLoad, MultibodySystem, SystemState, _constraint_values,
                        _jacobian_values)
 from .directors import RigidBody
-from .joints import PAIR_CONSTRAINT_COUNTS, JointError, JointSpec, compile_joint
+from .joints import PAIR_CONSTRAINT_COUNTS, JointError, JointSpec, compile_joints
 
 __all__ = [
     "ScenarioError",
@@ -325,27 +327,27 @@ def _ramp_decay(load):
 def build_system(config):
     """Instantiate (MultibodySystem, initial SystemState) from a config.
 
-    Compiles each pair once, then requires every row of g(q0), from the
-    system's exact constraint constants, within CONSISTENCY_TOL. Raises
-    ScenarioError naming the pair that fails to compile, or the worst row
-    (a NaN one first) as "body k: internal constraint row r" or
+    One pass over the bodies and the pairs: compile_joints checks each
+    body once and compiles all pairs into one row table, from which the
+    system takes its constants. Then every row of g(q0), from those exact
+    constants, must lie within CONSISTENCY_TOL. Raises ScenarioError
+    naming the first pair that fails to compile, or the worst row (a NaN
+    one first) as "body k: internal constraint row r" or
     "joint k (type): row r of the pair".
     """
     bodies = [RigidBody(b.index, b.mass, b.inertias, gravity=b.gravity) for b in config.bodies]
-    configs = {b.index: np.asarray(b.initial_position) for b in config.bodies}
-    joints = []
-    for k, j in enumerate(config.joints):
-        spec = JointSpec(j.type, *j.body_indices, np.asarray(j.joint_location),
-                         None if j.reference_axis is None else np.asarray(j.reference_axis))
-        try:
-            joints.append(compile_joint(spec, configs))
-        except JointError as exc:
-            raise ScenarioError(f"joint {k} ({j.type}): {exc}") from exc
+    configs = np.array([b.initial_position for b in config.bodies], dtype=float)
+    specs = [JointSpec(j.type, *j.body_indices, j.joint_location, j.reference_axis)
+             for j in config.joints]
+    try:
+        joints = compile_joints(specs, configs)
+    except JointError as exc:
+        raise ScenarioError(f"joint {exc.pair} ({config.joints[exc.pair].type}): {exc}") from exc
     loads = [BodyLoad(l.body, _ramp_decay(l), np.zeros(3)) for l in config.loads]
     system = MultibodySystem(bodies, joints, loads=loads)
 
-    q0 = np.concatenate([np.asarray(b.initial_position) for b in config.bodies])
-    v0 = np.concatenate([np.asarray(b.initial_velocity) for b in config.bodies])
+    q0 = configs.ravel()
+    v0 = np.array([b.initial_velocity for b in config.bodies], dtype=float).ravel()
     g, _ = _constraint_values(system, q0, v0)
     row = int(np.argmax(np.abs(g)))  # the first NaN row, if there is one
     if not abs(g[row]) <= CONSISTENCY_TOL:
@@ -358,8 +360,7 @@ def build_system(config):
         raise ScenarioError(f"{where} violated by {abs(g[row]):.3e} in the initial position")
 
     lam0 = np.zeros(system.m)
-    lam0[:6 * len(bodies)] = np.concatenate([np.asarray(b.multiplier)
-                                             for b in config.bodies])
+    lam0[:6 * len(bodies)] = np.ravel([b.multiplier for b in config.bodies])
     return system, SystemState(0.0, q0, v0, lam0)
 
 
@@ -373,11 +374,13 @@ def dependent_velocities(system, q, v, bodies):
     full velocity vector. Raises ScenarioError naming the bodies and the
     rank when G(q)[:, free] lacks full column rank, that is when the
     constraints leave some velocity of `bodies` undetermined, and naming
-    an index of `bodies` that is not a body of the system.
+    an index of `bodies` that is not a body of the system: out of range,
+    or not an integer (a bool included).
     """
     free = np.zeros(system.n, dtype=bool)
     for k in bodies:
-        if not 0 <= k < len(system.bodies):
+        if (not isinstance(k, (int, np.integer)) or isinstance(k, bool)
+                or not 0 <= k < len(system.bodies)):
             raise ScenarioError(f"body {k} is not one of the system's {len(system.bodies)} bodies")
         free[12 * k:12 * k + 12] = True
     G = system._G_pattern.dense(_jacobian_values(system, q))

@@ -19,6 +19,14 @@ pair's row table, are checked against `cylindrical_wrench_ports`, the
 physical reaction wrenches of a cylindrical pair (forces along and torques
 about the two lateral frame axes), by `nullspace_equivalence`.
 
+The one-pass build (`phmbd.joints.compile_joints` checks every body once
+and compiles all pairs at once; `phmbd.assembly._constant_tensors` reads
+H's entries off the (rows, 8, 8) block weights) is checked against
+`compile_pair`, which checks both bodies and compiles one pair at a time,
+and `constant_tensors`, which scans the (rows, 8, 3, 8) broadcast of the
+block weights over the three components for H's entries. Both must give
+the same arrays, bit for bit and in the same order.
+
 The constrained equations of motion are reduced to an ODE on (q, v) by
 solving the acceleration-level constraint for the multipliers,
 
@@ -32,6 +40,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from phmbd.assembly import (
+    _ORTHONORMALITY,
     constraint_velocity_gradient,
     input_assembly,
     potential,
@@ -45,10 +54,124 @@ from phmbd.directors import (
     internal_constraints,
     split_config,
 )
-from phmbd.joints import GROUND_CONFIG
+from phmbd.joints import GROUND_CONFIG, PAIR_CONSTRAINT_COUNTS, CompiledJoint, JointError
 
 # B-director index pairs locked against the A-side frame, per prismatic row
 PRISMATIC_LOCKS = ((0, 1), (1, 2), (2, 0))
+
+
+def _frame(axis):
+    """The triad (n, m1, m2) of phmbd.joints.joint_frame, one axis at a time."""
+    n = np.asarray(axis, dtype=float)
+    norm = np.linalg.norm(n)
+    if not abs(norm - 1.0) <= 1e-9:
+        raise JointError(f"reference axis must be a unit vector, |axis| = {norm}")
+    k = int(np.argmin(np.abs(n)))
+    m2 = np.cross(n, np.eye(3)[k])
+    m2 = m2 / np.linalg.norm(m2)
+    m1 = np.cross(m2, n)
+    return n, m1, m2
+
+
+def _check_body(q, label, tol=1e-6):
+    """Reject a body configuration that is off the manifold or not finite."""
+    _, d = split_config(q)
+    defect = np.abs(d @ d.T - np.eye(3)).max()
+    if not defect <= tol:
+        raise JointError(f"{label}: director triad violates orthonormality by {defect:.2e}")
+    if not np.isfinite(q).all():
+        raise JointError(f"{label}: configuration must be finite, got {q}")
+
+
+def _on_a(axis):
+    """Block weights of axis . (d_A1, d_A2, d_A3)."""
+    weights = np.zeros(8)
+    weights[1:4] = axis
+    return weights
+
+
+def compile_pair(spec, configs):
+    """phmbd.joints.compile_joint written one pair at a time: both bodies
+    checked, then each row of the table built on its own."""
+    kind = spec.pair_type
+    is_ground = spec.body_a == spec.body_b
+    q_a = np.asarray(configs[spec.body_a], dtype=float)
+    q_b = GROUND_CONFIG if is_ground else np.asarray(configs[spec.body_b], dtype=float)
+    _check_body(q_a, f"body {spec.body_a}")
+    if not is_ground:
+        _check_body(q_b, f"body {spec.body_b}")
+
+    loc = spec.joint_location
+    if not np.isfinite(loc).all():
+        raise JointError(f"joint location must be finite, got {loc}")
+    phi_a, d_a = split_config(q_a)
+    phi_b, d_b = split_config(q_b)
+    X_a = d_a @ (loc - phi_a)
+    X_b = d_b @ (loc - phi_b)
+
+    n_local = m1_local = m2_local = None
+    lock_dirs, offsets, locks = (), (), []
+    if kind != "spherical":
+        if spec.reference_axis is None:
+            raise JointError(f"{kind} pair requires a reference axis")
+        n_local, m1_local, m2_local = _frame(spec.reference_axis)
+    if kind in ("cylindrical", "revolute"):
+        n0 = n_local @ d_a
+        alignment = np.abs(d_b @ n0)
+        lock_dirs = (0, 1)
+        if alignment[list(lock_dirs)].max() > 1.0 - 1e-9:
+            lock_dirs = tuple(sorted(np.argsort(alignment)[:2]))
+        if alignment[list(lock_dirs)].max() > 1.0 - 1e-9:
+            raise JointError(f"{kind} pair: degenerate rotation lock, axis parallel to B-directors")
+        offsets = tuple(n0 @ d_b[j] for j in lock_dirs)
+        locks = [(n_local, j) for j in lock_dirs]
+    elif kind == "universal":
+        a0 = n_local @ d_a
+        j = int(np.argmin(np.abs(d_b @ a0)))
+        lock_dirs = (j,)
+        offsets = (float(a0 @ d_b[j]),)
+        locks = [(n_local, j)]
+    elif kind == "prismatic":
+        offsets = tuple(float(d_a[i] @ d_b[j]) for i, j in PRISMATIC_LOCKS)
+        locks = [(np.eye(3)[i], j) for i, j in PRISMATIC_LOCKS]
+
+    gap = np.concatenate([[-1.0], -X_a, [1.0], X_b])
+    if kind in ("cylindrical", "prismatic"):
+        rows = [(_on_a(axis), gap, np.zeros(3), 0.0) for axis in (m1_local, m2_local)]
+    else:
+        rows = [(gap, np.zeros(8), e, 0.0) for e in np.eye(3)]
+    rows += [(_on_a(axis), np.eye(8)[5 + j], np.zeros(3), offset)
+             for (axis, j), offset in zip(locks, offsets)]
+    alpha, beta, w0, c = (np.array(column) for column in zip(*rows))
+    return CompiledJoint(kind, spec.body_a, spec.body_b, is_ground, PAIR_CONSTRAINT_COUNTS[kind],
+                         X_a, X_b, alpha, beta, np.zeros_like(w0), w0, c,
+                         n_local, m1_local, m2_local, lock_dirs, offsets)
+
+
+def constant_tensors(sys):
+    """phmbd.assembly._constant_tensors from one row table of every body's
+    orthonormality rows and every pair's rows, with H's entries scanned from
+    the (rows, 8, 3, 8) broadcast of the block weights S."""
+    nb, joints = len(sys.bodies), sys.joints
+    tables = [_ORTHONORMALITY] * nb + [(j.alpha, j.beta, j.u0, j.w0, j.c) for j in joints]
+    alpha, beta, u0, w0, c = (np.concatenate(column) for column in zip(*tables))
+    count = [6] * nb + [j.count for j in joints]
+    ground = np.repeat([False] * nb + [j.is_ground for j in joints], count)
+    ground_blocks = GROUND_CONFIG.reshape(4, 3)
+    u0[ground] += alpha[ground, 4:] @ ground_blocks
+    w0[ground] += beta[ground, 4:] @ ground_blocks
+    alpha[ground, 4:] = beta[ground, 4:] = 0.0
+    bodies = np.repeat([(k, k) for k in range(nb)] + [(j.body_a, j.body_b) for j in joints],
+                       count, axis=0)
+    cols = (12 * bodies[:, :, None] + np.arange(12)).reshape(-1, 24)
+
+    g0 = (u0 * w0).sum(axis=1) - c
+    G0 = (alpha[:, :, None] * w0[:, None] + beta[:, :, None] * u0[:, None]).reshape(-1, 24)
+    r, a = np.nonzero(G0)
+    S = alpha[:, :, None] * beta[:, None] + beta[:, :, None] * alpha[:, None]
+    r2, p, k, p2 = np.nonzero(np.broadcast_to(S[:, :, None], (c.size, 8, 3, 8)))
+    return (g0, (r, cols[r, a], G0[r, a]),
+            (r2, cols[r2, 3 * p + k], cols[r2, 3 * p2 + k], S[r2, p, p2]))
 
 
 def pair_residual(joint, q_a, q_b):

@@ -396,12 +396,12 @@ def test_failure_record_shape(slider_crank):
     assert np.all(np.isfinite(traj.q))
 
 
-@pytest.mark.parametrize("h, at_step", [(0.04, 9), (0.05, 6)])
+@pytest.mark.parametrize("h, at_step", [(0.03, 11), (0.04, 9), (0.05, 6)])
 def test_ggl_slider_crank_coarse_step_stops_as_diverged(slider_crank, h, at_step):
     """Above its step-size limit slider_crank mp-ggl stops on the first
     two consecutive residual growths, while the residual is finite."""
     sys, state = slider_crank
-    traj = simulate(sys, state, IntegratorConfig(h=h, t_end=10 * h, scheme="mp-ggl"))
+    traj = simulate(sys, state, IntegratorConfig(h=h, t_end=12 * h, scheme="mp-ggl"))
     f = traj.failure
     assert f["step"] == at_step and f["message"].endswith(
         f"diverged (residual {f['residual_norm']:.3e} after {f['iterations']} iterations)")

@@ -9,6 +9,7 @@ from phmbd.joints import (
     JointError,
     JointSpec,
     compile_joint,
+    compile_joints,
     jacobian,
     joint_frame,
     residual,
@@ -100,6 +101,24 @@ def test_compile_joint_rejects_nan_input():
     with pytest.raises(JointError, match="body 1: configuration must be finite"):
         compile_joint(JointSpec("revolute", 0, 1, np.zeros(3), [1.0, 0.0, 0.0]),
                       [GROUND_CONFIG, inf_position])
+
+
+def test_compile_joints_reports_the_first_failing_pair():
+    """All pairs compile at once; where two fail, the error is the first's,
+    at its position among the pairs. No pair compiles to no joint."""
+    q = np.concatenate([np.zeros(3), np.eye(3).reshape(-1)])
+    off = q.copy()
+    off[4] = 1e-5
+    specs = [JointSpec("spherical", 0, 1, np.zeros(3)),
+             JointSpec("revolute", 1, 2, np.zeros(3), [2.0, 0.0, 0.0]),
+             JointSpec("spherical", 2, 3, np.zeros(3))]
+    with pytest.raises(JointError, match=r"^reference axis must be a unit vector") as info:
+        compile_joints(specs, [q, q, q, off])
+    assert info.value.pair == 1
+    with pytest.raises(JointError, match=r"^body 3: director triad") as info:
+        compile_joints(specs[::2], [q, q, q, off])
+    assert info.value.pair == 1
+    assert compile_joints([], [q]) == ()
 
 
 @pytest.mark.parametrize("kind", PAIR_TYPES)

@@ -3,14 +3,19 @@
 The library evaluates the constraint layer from constants fixed at
 assembly; `reference.loop_constraints` evaluates every body and pair at q
 directly. Summation order differs between the two, so they agree to
-rounding, not bit for bit.
+rounding, not bit for bit. The constants themselves, built in one pass
+over the bodies and pairs, equal those of the pair-by-pair build
+(`reference.compile_pair`, `reference.constant_tensors`) bit for bit.
 """
+import sys as _sys
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import given, settings
 
+from phmbd import assembly, scenario
 from phmbd.assembly import (
     MultibodySystem,
     constraint_hessian_contraction,
@@ -18,9 +23,12 @@ from phmbd.assembly import (
     stack_constraints,
 )
 from phmbd.directors import RigidBody
-from phmbd.joints import JointSpec, compile_joint
+from phmbd.joints import JointSpec, compile_joints
+from phmbd.scenario import build_system, load_scenario
 
 from reference import (
+    compile_pair,
+    constant_tensors,
     loop_constraints,
     loop_hessian_contraction,
     loop_velocity_gradient,
@@ -125,8 +133,7 @@ def _pendulum_chain_config(bodies, rng, kinds=PAIR_TYPES):
             axis = None if kind == "spherical" else [0.0, 1.0, 0.0]
             specs.append(JointSpec(kind, k - 1, k, top, axis))
         top = top - length * d[2]
-    return (MultibodySystem(rigid, [compile_joint(sp, configs) for sp in specs]),
-            np.concatenate(configs))
+    return MultibodySystem(rigid, compile_joints(specs, configs)), np.concatenate(configs)
 
 
 def test_hundred_body_chain_kernel_without_dense_hessians():
@@ -160,3 +167,55 @@ def test_hundred_body_chain_kernel_without_dense_hessians():
               - stack_constraints(sys, q - step * s)[1]).T @ lam / (2 * step)
         Ks = K @ s
         assert _rel_err(Ks, fd) <= 1e-12
+
+
+def _pairwise(specs, configs):
+    return tuple(compile_pair(spec, configs) for spec in specs)
+
+
+BUILDS = {
+    **{name: lambda name=name: build_system(load_scenario(name))[0]
+       for name in ("flying_pair", "slider_crank", "closed_loop")},
+    # every pair type, body-body and to ground
+    "pendulum_chain_24": lambda: _pendulum_chain(24, np.random.default_rng(5)),
+    # test_hundred_body_chain_kernel_without_dense_hessians' chain
+    "pendulum_chain_100": lambda: _pendulum_chain(100, np.random.default_rng(100)),
+}
+
+# what MultibodySystem keeps of its constants and patterns
+SYSTEM_ARRAYS = ("_g0", "_G0_values", "_H_rows", "_H_b", "_H_values", "_H_in_G",
+                 "_H_in_K", "_W_in_K", "mass_diag", "_grad_potential")
+JOINT_FIELDS = ("pair_type", "body_a", "body_b", "is_ground", "count", "X_a", "X_b",
+                "alpha", "beta", "u0", "w0", "c", "n_local", "m1_local", "m2_local",
+                "lock_dirs", "offsets")
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_one_pass_build_matches_pair_by_pair_build(name, monkeypatch):
+    """compile_joints and _constant_tensors give the arrays of compiling
+    pair by pair and scanning H's entries over every component, in the
+    same order, bit for bit: g0, G0 and H, both patterns, and where H's
+    entries and the loads' blocks sit in them."""
+    built = BUILDS[name]()
+    with monkeypatch.context() as m:
+        m.setattr(scenario, "compile_joints", _pairwise)
+        m.setattr(_sys.modules[__name__], "compile_joints", _pairwise)
+        m.setattr(assembly, "_constant_tensors", constant_tensors)
+        oracle = BUILDS[name]()
+    g0, G0, H = assembly._constant_tensors(built)
+    g0_ref, G0_ref, H_ref = constant_tensors(oracle)
+    for value, expected in zip((g0, *G0, *H), (g0_ref, *G0_ref, *H_ref)):
+        assert value.dtype == expected.dtype
+        npt.assert_array_equal(value, expected)
+    for attr in SYSTEM_ARRAYS:
+        npt.assert_array_equal(getattr(built, attr), getattr(oracle, attr), err_msg=attr)
+    for attr in ("_G_pattern", "_K_pattern"):
+        npt.assert_array_equal(getattr(built, attr).flat, getattr(oracle, attr).flat)
+    assert len(built.joints) == len(oracle.joints)
+    for joint, expected in zip(built.joints, oracle.joints):
+        for field in JOINT_FIELDS:
+            value, want = getattr(joint, field), getattr(expected, field)
+            if isinstance(want, np.ndarray):
+                npt.assert_array_equal(value, want, err_msg=field)
+            else:
+                assert value == want, field

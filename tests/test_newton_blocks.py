@@ -211,6 +211,22 @@ def test_dense_matrix_is_the_dense_formula(scheme, name, h, request, monkeypatch
     npt.assert_array_equal(A, reduced_matrix(sys, h_, K, W, G, Gs, tuple(gamma) or None))
 
 
+def test_augmented_products_take_no_load_only_entries(flying_pair, slider_crank,
+                                                      closed_loop):
+    """K(gamma) has no loads, so the M^-1 products of the mp-ggl matrix take
+    its factor on H's entries of K alone: the entries that only closed_loop's
+    load puts on the pattern of K enter no product pair."""
+    pairs = {}
+    for name, (sys, _) in (("flying_pair", flying_pair), ("slider_crank", slider_crank),
+                           ("closed_loop", closed_loop)):
+        blk = sys._augmented_blocks
+        for places in (blk.Q_left, blk.Q_right):
+            on_K = places[places < sys._K_pattern.flat.size]
+            assert np.isin(on_K, sys._H_in_K).all(), name
+        pairs[name] = blk.Q_left.size
+    assert pairs == {"flying_pair": 1680, "slider_crank": 1844, "closed_loop": 1680}
+
+
 def test_block_update_matches_full_newton_step():
     """Above the crossover the mp update takes the block path and is still
     the Newton step of the full (2n + m) midpoint system."""

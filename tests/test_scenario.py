@@ -10,7 +10,7 @@ from phmbd import scenario
 from phmbd.assembly import consistency
 from phmbd.diagnostics import conservation_report
 from phmbd.integrate import IntegratorConfig, Trajectory, simulate
-from phmbd.joints import compile_joint
+from phmbd.joints import compile_joints
 from phmbd.scenario import (
     ScenarioError,
     build_system,
@@ -170,15 +170,37 @@ def test_build_system_rejects_nan_initial_state():
         build_system(dataclasses.replace(config, bodies=bodies))
 
 
+def _off_manifold(doc, body):
+    doc["bodies"][body]["initial_position"][4] = 1e-5  # d1 . d2
+
+
+@pytest.mark.parametrize("long_axis, bad_body, message", [
+    # pair 0 fails at its last check, pairs 2 and 3 (body 2) at their first
+    (0, 2, r"^joint 0 \(revolute\): reference axis must be a unit vector, \|axis\| = 2\.0$"),
+    # pair 1 fails at its body B, pair 2 at its body B too, pair 3 at its axis
+    (3, 1, r"^joint 1 \(spherical\): body 1: director triad violates orthonormality"),
+], ids=["earlier_pair_later_check", "later_pair_earlier_check"])
+def test_build_system_names_the_first_failing_pair(long_axis, bad_body, message):
+    """Every body is checked once and all pairs compile at once, yet where
+    several pairs fail the error names the first in declaration order, with
+    that pair's own first failing check."""
+    doc = json.loads(serialize_scenario(load_scenario("slider_crank")))
+    doc["joints"][long_axis]["reference_axis"] = [2.0, 0.0, 0.0]
+    _off_manifold(doc, bad_body)
+    with pytest.raises(ScenarioError, match=message):
+        build_system(parse_scenario(json.dumps(doc)))
+
+
 def test_each_pair_compiles_once_when_built(monkeypatch):
-    """parse_scenario compiles no pair; build_system compiles each once."""
+    """parse_scenario compiles no pair; build_system compiles each once, all
+    in one call."""
     calls = []
 
-    def counting(spec, configs):
-        calls.append(spec)
-        return compile_joint(spec, configs)
+    def counting(specs, configs):
+        calls.extend(specs)
+        return compile_joints(specs, configs)
 
-    monkeypatch.setattr(scenario, "compile_joint", counting)
+    monkeypatch.setattr(scenario, "compile_joints", counting)
     text = serialize_scenario(load_scenario("slider_crank"))
     config = parse_scenario(text)
     assert calls == []
@@ -236,9 +258,9 @@ def test_closed_loop_load_profile(closed_loop):
 def test_initial_velocity_solver_reproduces_benchmark_rows(slider_crank):
     """Holding the crank, G(q0) v = 0 returns the published starting
     velocities of the rod and the block; an index that is not one of the
-    three bodies is rejected."""
+    three bodies, or not an integer, is rejected."""
     sys, state = slider_crank
-    for bad in (5, -1):
+    for bad in (5, -1, 1.5, True):
         with pytest.raises(ScenarioError, match=f"body {bad} is not one of the system's 3"):
             dependent_velocities(sys, state.q, state.v, (bad,))
     v = dependent_velocities(sys, state.q, state.v, (1, 2))
